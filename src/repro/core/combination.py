@@ -66,12 +66,12 @@ _SERIAL_CANDIDATES = 3
 
 
 def dependency_conflict_pairs(instance: ProblemInstance) -> set[frozenset[int]]:
-    """Unordered service pairs adjacent in at least one request chain."""
-    pairs: set[frozenset[int]] = set()
-    for req in instance.requests:
-        for a, b in req.edges:
-            pairs.add(frozenset((a, b)))
-    return pairs
+    """Unordered service pairs adjacent in at least one request chain.
+
+    Built from the per-instance cached
+    :attr:`~repro.model.instance.ProblemInstance.adjacent_service_pairs`.
+    """
+    return {frozenset(pair) for pair in instance.adjacent_service_pairs.tolist()}
 
 
 class CombinationState:

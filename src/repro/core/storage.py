@@ -11,7 +11,8 @@ storage capacity (Eq. 6).  The planner then:
    footprint ``φ``, requesting-user count ``|U^{m_i}_{v_k}|`` and the
    chain-order factor ``R^{m_i}_{v_k} = (3·u_f + 2·u_l + u_m) /
    |U^{m_i}_{v_k}|`` (first/last chain positions weigh more since they
-   pin the user's entry/exit latency);
+   pin the user's entry/exit latency), cached per instance as
+   :attr:`~repro.model.instance.ProblemInstance.order_factor`;
 3. for every overloaded node, migrates the lowest-ρ instance to the
    nearest node (highest channel speed) that lacks the service and has
    spare storage, repeating until the node fits.
@@ -49,28 +50,15 @@ class StoragePlanOutcome:
 
 
 def order_factor(instance: ProblemInstance) -> np.ndarray:
-    """``(S, N)`` matrix of order factors ``R^{m_i}_{v_k}``.
+    """``(S, N)`` matrix of order factors ``R^{m_i}_{v_k}`` (read-only).
 
     ``R = (3·u_f + 2·u_l + u_m) / |U^{m_i}_{v_k}|`` with u_f/u_l/u_m the
     counts of requests homed at ``v_k`` in which ``m_i`` appears first /
     last / in the middle of the chain.  Zero where no demand exists.
+    The matrix is a pure function of the requests, computed once per
+    instance: see :attr:`ProblemInstance.order_factor`.
     """
-    S, N = instance.n_services, instance.n_servers
-    weighted = np.zeros((S, N), dtype=np.float64)
-    counts = instance.demand_counts
-    for req in instance.requests:
-        chain = req.chain
-        for pos, svc in enumerate(chain):
-            if len(chain) == 1 or pos == 0:
-                w = 3.0
-            elif pos == len(chain) - 1:
-                w = 2.0
-            else:
-                w = 1.0
-            weighted[svc, req.home] += w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(counts > 0, weighted / np.maximum(counts, 1), 0.0)
-    return r
+    return instance.order_factor
 
 
 def local_demand_factor(

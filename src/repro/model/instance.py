@@ -10,7 +10,13 @@ and precomputes the dense arrays every solver consumes:
 * padded request-chain matrices (``chain_matrix``, ``edge_data_matrix``)
   enabling whole-workload latency evaluation without Python loops;
 * demand matrices ``|U^{m_i}_{v_k}|`` and the data-volume variant used by
-  the partitioning stage.
+  the partitioning stage;
+* the combination stage's inputs: Def. 9 order factors (Alg. 5) and the
+  service pairs adjacent in some chain (Alg. 3's conflict filter).
+
+Every request-derived array is computed once, from one columnar
+:class:`~repro.workload.requests.RequestBatch`: tuple input is converted
+into a private batch at construction.
 
 :class:`ProblemConfig` carries the model-level parameters: the trade-off
 weight ``λ``, budget ``K^max``, per-request deadline ``D^max``, the
@@ -30,12 +36,7 @@ import numpy as np
 from repro.microservices.application import Application
 from repro.network.topology import EdgeNetwork
 from repro.utils.validation import check_positive, check_probability
-from repro.workload.requests import (
-    RequestBatch,
-    UserRequest,
-    data_demand_matrix,
-    demand_matrix,
-)
+from repro.workload.requests import RequestBatch, UserRequest, _readonly
 
 #: Sentinel node index meaning "served from the cloud data center".
 #: Within an instance the cloud is materialized as node index ``n``.
@@ -111,9 +112,10 @@ class ProblemInstance:
         #: per-request views, so consumers index/iterate identically.
         self.requests: Union[tuple[UserRequest, ...], RequestBatch]
         if isinstance(requests, RequestBatch):
-            self.requests = requests
+            self.requests = self._batch = requests
         else:
             self.requests = tuple(requests)
+            self._batch = RequestBatch.from_requests(self.requests)
         self.config = config
         if deadlines is not None:
             arr = np.asarray(deadlines, dtype=np.float64)
@@ -129,24 +131,15 @@ class ProblemInstance:
         else:
             self._deadlines = None
 
-        n = network.n
-        if isinstance(self.requests, RequestBatch):
-            self._validate_batch(self.requests, n, app.n_services)
-        else:
-            for req in self.requests:
-                if not (0 <= req.home < n):
-                    raise IndexError(
-                        f"request {req.index} home {req.home} outside network of size {n}"
-                    )
-                for svc in req.chain:
-                    if not (0 <= svc < app.n_services):
-                        raise IndexError(
-                            f"request {req.index} references unknown service {svc}"
-                        )
+        self._validate_batch(self._batch, network.n, app.n_services)
 
     @staticmethod
     def _validate_batch(batch: RequestBatch, n: int, n_services: int) -> None:
-        """Vectorized home/service range checks; errors match the loop."""
+        """Vectorized home/service range checks.
+
+        Reports the first request (in order) with a bad home or service,
+        its home checked before its chain.
+        """
         bad_home = (batch.homes < 0) | (batch.homes >= n)
         bad_svc = (batch.chains < 0) | (batch.chains >= n_services)
         if not (bad_home.any() or bad_svc.any()):
@@ -242,15 +235,11 @@ class ProblemInstance:
     @cached_property
     def homes(self) -> np.ndarray:
         """``f(u_h)`` home-server vector, shape ``(H,)``."""
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.homes.copy()
-        return np.array([r.home for r in self.requests], dtype=np.int64)
+        return self._batch.homes.copy()
 
     @cached_property
     def chain_lengths(self) -> np.ndarray:
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.lengths.copy()
-        return np.array([r.length for r in self.requests], dtype=np.int64)
+        return self._batch.lengths.copy()
 
     @cached_property
     def max_chain(self) -> int:
@@ -259,82 +248,79 @@ class ProblemInstance:
     @cached_property
     def chain_matrix(self) -> np.ndarray:
         """``(H, Lmax)`` padded service-index matrix; −1 = past chain end."""
-        if isinstance(self.requests, RequestBatch):
-            mat = self.requests.padded_chain_matrix()
-            mat.flags.writeable = False
-            return mat
-        H, L = self.n_requests, self.max_chain
-        mat = np.full((H, L), -1, dtype=np.int64)
-        for h, req in enumerate(self.requests):
-            mat[h, : req.length] = req.chain
-        mat.flags.writeable = False
-        return mat
+        return _readonly(self._batch.padded_chain_matrix())
 
     @cached_property
     def chain_mask(self) -> np.ndarray:
         """``(H, Lmax)`` bool mask of valid positions."""
-        mask = self.chain_matrix >= 0
-        mask.flags.writeable = False
-        return mask
+        return _readonly(self.chain_matrix >= 0)
 
     @cached_property
     def edge_data_matrix(self) -> np.ndarray:
         """``(H, Lmax−1)`` per-edge data flows (0 past chain end)."""
-        if isinstance(self.requests, RequestBatch):
-            mat = self.requests.padded_edge_matrix()
-            mat.flags.writeable = False
-            return mat
-        H, L = self.n_requests, self.max_chain
-        mat = np.zeros((H, max(L - 1, 1)), dtype=np.float64)
-        for h, req in enumerate(self.requests):
-            if req.edge_data:
-                mat[h, : len(req.edge_data)] = req.edge_data
-        mat.flags.writeable = False
-        return mat
+        return _readonly(self._batch.padded_edge_matrix())
 
     @cached_property
     def data_in(self) -> np.ndarray:
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.data_in.copy()
-        return np.array([r.data_in for r in self.requests], dtype=np.float64)
+        return self._batch.data_in.copy()
 
     @cached_property
     def data_out(self) -> np.ndarray:
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.data_out.copy()
-        return np.array([r.data_out for r in self.requests], dtype=np.float64)
+        return self._batch.data_out.copy()
 
     @cached_property
     def inflow_matrix(self) -> np.ndarray:
         """``(H, Lmax)`` data entering each chain position (star model's r)."""
-        H, L = self.n_requests, self.max_chain
-        if isinstance(self.requests, RequestBatch):
-            batch = self.requests
-            mat = np.zeros((H, L), dtype=np.float64)
-            rows = np.repeat(np.arange(H), batch.lengths)
-            cols = np.arange(batch.chains.size) - np.repeat(
-                batch.chain_offsets[:-1], batch.lengths
-            )
-            mat[rows, cols] = batch.inflow_flat()
-            mat.flags.writeable = False
-            return mat
-        mat = np.zeros((H, L), dtype=np.float64)
-        for h, req in enumerate(self.requests):
-            mat[h, 0] = req.data_in
-            for j, d in enumerate(req.edge_data):
-                mat[h, j + 1] = d
-        mat.flags.writeable = False
-        return mat
+        mat = np.zeros((self.n_requests, self.max_chain), dtype=np.float64)
+        mat[self.chain_mask] = self._batch.inflow_flat()
+        return _readonly(mat)
 
     @cached_property
     def demand_counts(self) -> np.ndarray:
         """``(S, N)`` counts ``|U^{m_i}_{v_k}|`` (Alg. 2 lines 1-3)."""
-        return demand_matrix(self.requests, self.n_services, self.n_servers)
+        return self._batch.demand_counts(self.n_services, self.n_servers)
 
     @cached_property
     def demand_data(self) -> np.ndarray:
         """``(S, N)`` inbound data volumes per service/home pair."""
-        return data_demand_matrix(self.requests, self.n_services, self.n_servers)
+        return self._batch.demand_data(self.n_services, self.n_servers)
+
+    @cached_property
+    def order_factor(self) -> np.ndarray:
+        """``(S, N)`` Def. 9 order factors ``R^{m_i}_{v_k}`` (read-only).
+
+        ``R = (3·u_f + 2·u_l + u_m) / |U^{m_i}_{v_k}|`` with u_f/u_l/u_m
+        the counts of requests homed at ``v_k`` in which ``m_i`` appears
+        first (or alone) / last / in the middle; zero where no demand
+        exists.  The weights are integers, so the float64 sums are exact
+        in any summation order.
+        """
+        S, N = self.n_services, self.n_servers
+        mask = self.chain_mask
+        weight = mask.astype(np.float64)
+        weight[np.arange(self.n_requests), self.chain_lengths - 1] = 2.0
+        weight[:, 0] = 3.0
+        key = self.chain_matrix * N + self.homes[:, None]
+        weighted = np.bincount(
+            key[mask], weights=weight[mask], minlength=S * N
+        ).reshape(S, N)
+        counts = self.demand_counts
+        return _readonly(
+            np.where(counts > 0, weighted / np.maximum(counts, 1), 0.0)
+        )
+
+    @cached_property
+    def adjacent_service_pairs(self) -> np.ndarray:
+        """``(P, 2)`` unordered service pairs ``(lo, hi)`` adjacent in at
+        least one chain, sorted and unique (Alg. 3's conflict pairs)."""
+        S = self.n_services
+        chain = self.chain_matrix
+        head, tail = chain[:, :-1], chain[:, 1:]
+        edge = tail >= 0
+        keys = np.unique(
+            np.minimum(head, tail)[edge] * S + np.maximum(head, tail)[edge]
+        )
+        return _readonly(np.column_stack([keys // S, keys % S]))
 
     @cached_property
     def requested_services(self) -> np.ndarray:

@@ -12,6 +12,8 @@ A :class:`UserRequest` ``u_h`` is a directed chain of microservices with:
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -48,6 +50,14 @@ class UserRequest:
                 f"edge_data length {len(self.edge_data)} != chain edges "
                 f"{len(self.chain) - 1}"
             )
+        for name, values in (
+            ("data_in", (self.data_in,)),
+            ("data_out", (self.data_out,)),
+            ("edge_data", self.edge_data),
+        ):
+            for value in values:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         check_non_negative("data_in", self.data_in)
         check_non_negative("data_out", self.data_out)
         for d in self.edge_data:
@@ -203,24 +213,27 @@ class RequestBatch(SequenceABC):
         reqs = list(requests)
         n = len(reqs)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        for h, r in enumerate(reqs):
-            offsets[h + 1] = offsets[h] + r.length
-        chains = np.empty(int(offsets[-1]), dtype=np.int64)
-        edge = np.empty(int(offsets[-1]) - n, dtype=np.float64)
-        pos = 0
-        for h, r in enumerate(reqs):
-            chains[offsets[h] : offsets[h + 1]] = r.chain
-            if r.edge_data:
-                edge[pos : pos + len(r.edge_data)] = r.edge_data
-            pos += len(r.edge_data)
+        np.cumsum(
+            np.fromiter((len(r.chain) for r in reqs), np.int64, count=n),
+            out=offsets[1:],
+        )
+        total = int(offsets[-1])
         return cls(
-            index=np.array([r.index for r in reqs], dtype=np.int64),
-            homes=np.array([r.home for r in reqs], dtype=np.int64),
-            chains=chains,
+            index=np.fromiter((r.index for r in reqs), np.int64, count=n),
+            homes=np.fromiter((r.home for r in reqs), np.int64, count=n),
+            chains=np.fromiter(
+                itertools.chain.from_iterable(r.chain for r in reqs),
+                np.int64,
+                count=total,
+            ),
             chain_offsets=offsets,
-            data_in=np.array([r.data_in for r in reqs], dtype=np.float64),
-            data_out=np.array([r.data_out for r in reqs], dtype=np.float64),
-            edge_data=edge,
+            data_in=np.fromiter((r.data_in for r in reqs), np.float64, count=n),
+            data_out=np.fromiter((r.data_out for r in reqs), np.float64, count=n),
+            edge_data=np.fromiter(
+                itertools.chain.from_iterable(r.edge_data for r in reqs),
+                np.float64,
+                count=total - n,
+            ),
         )
 
     @classmethod
@@ -455,13 +468,9 @@ def demand_matrix(
     Entry ``(i, k)`` is the number of requests homed at ``v_k`` whose
     chain contains ``m_i`` — the quantity Alg. 2 computes in lines 1-3.
     """
-    if isinstance(requests, RequestBatch):
-        return requests.demand_counts(n_services, n_servers)
-    counts = np.zeros((n_services, n_servers), dtype=np.int64)
-    for req in requests:
-        for svc in req.chain:
-            counts[svc, req.home] += 1
-    return counts
+    if not isinstance(requests, RequestBatch):
+        requests = RequestBatch.from_requests(requests)
+    return requests.demand_counts(n_services, n_servers)
 
 
 def data_demand_matrix(
@@ -473,13 +482,9 @@ def data_demand_matrix(
     entering ``m_i`` in each chain — the ``r_i`` weights used by the
     proactive factor (Def. 5) and instance contribution (Def. 7).
     """
-    if isinstance(requests, RequestBatch):
-        return requests.demand_data(n_services, n_servers)
-    data = np.zeros((n_services, n_servers), dtype=np.float64)
-    for req in requests:
-        for svc in req.chain:
-            data[svc, req.home] += req.data_into(svc)
-    return data
+    if not isinstance(requests, RequestBatch):
+        requests = RequestBatch.from_requests(requests)
+    return requests.demand_data(n_services, n_servers)
 
 
 def prefetch_batches(batches: Iterable, depth: int = 1) -> Iterable:

@@ -269,14 +269,17 @@ class TestRequestBatchTake:
 class TestRequestBatchDemand:
     def test_demand_matrices_match_per_request_loop(self, net, app):
         batch = generate_requests(net, app, WorkloadSpec(n_users=40), rng=7)
-        views = list(batch)  # plain list → module-level loop fallback
+        views = list(batch)  # plain list → converted via RequestBatch.from_requests
         S, N = app.n_services, net.n
-        assert np.array_equal(
-            demand_matrix(batch, S, N), demand_matrix(views, S, N)
-        )
-        assert np.array_equal(
-            data_demand_matrix(batch, S, N), data_demand_matrix(views, S, N)
-        )
+        counts = np.zeros((S, N), dtype=np.int64)
+        data = np.zeros((S, N), dtype=np.float64)
+        for req in views:
+            for svc in req.chain:
+                counts[svc, req.home] += 1
+                data[svc, req.home] += req.data_into(svc)
+        for requests in (batch, views):
+            assert demand_matrix(requests, S, N).tobytes() == counts.tobytes()
+            assert data_demand_matrix(requests, S, N).tobytes() == data.tobytes()
 
     def test_padded_matrices_match_views(self, net, app):
         batch = generate_requests(net, app, WorkloadSpec(n_users=20), rng=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workload import UserRequest, requests_by_server, services_in_requests
-from repro.workload.requests import data_demand_matrix, demand_matrix
+from repro.workload.requests import RequestBatch, data_demand_matrix, demand_matrix
 
 
 def make_request(**kwargs) -> UserRequest:
@@ -38,6 +38,24 @@ class TestUserRequest:
             make_request(data_in=-1.0)
         with pytest.raises(ValueError):
             make_request(edge_data=(-2.0,))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["data_in", "data_out", "edge_data"])
+    def test_non_finite_data_rejected_like_batch(self, field, value):
+        kwargs = {field: (value,) if field == "edge_data" else value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_request(**kwargs)
+        batch = RequestBatch.from_requests([make_request()])
+        columns = {
+            name: np.array(getattr(batch, name))
+            for name in ("data_in", "data_out", "edge_data")
+        }
+        columns[field][0] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RequestBatch(
+                batch.index, batch.homes, batch.chains, batch.chain_offsets,
+                columns["data_in"], columns["data_out"], columns["edge_data"],
+            )
 
     def test_single_service_chain(self):
         req = make_request(chain=(3,), edge_data=())
