@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.microservices.application import Application
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, choice_index
 
 
 def enumerate_chains(
@@ -54,6 +54,48 @@ def enumerate_chains(
     return sorted(chains)
 
 
+def successor_table(app: Application) -> list[tuple[int, ...]]:
+    """Each service's sorted successors, indexed by service.
+
+    Resolving the table once lets a sampler walk many chains without
+    re-sorting a graph view at every step.
+    """
+    return [
+        tuple(int(s) for s in app.successors(i))
+        for i in range(app.n_services)
+    ]
+
+
+def walk_chain(
+    gen: np.random.Generator,
+    entrypoints: Sequence[int],
+    successors: Sequence[Sequence[int]],
+    length_bias: float,
+    min_length: int,
+    limit: int,
+) -> list[int]:
+    """The biased random walk behind every sequential chain sampler.
+
+    Draws, in order: the entrypoint, then per step one continuation
+    uniform (skipped while the path is shorter than ``min_length``) and
+    one successor pick — each pick the exact draw ``Generator.choice``
+    makes (:func:`repro.utils.rng.choice_index`).  ``successors`` comes
+    from :func:`successor_table`; a successor of the path's tail can
+    never already be on the path, because :class:`Application` rejects
+    cyclic dependency graphs.
+    """
+    random = gen.random
+    path = [entrypoints[choice_index(gen, len(entrypoints))]]
+    while len(path) < limit:
+        succs = successors[path[-1]]
+        if not succs:
+            break
+        if len(path) >= min_length and random() > length_bias:
+            break
+        path.append(succs[choice_index(gen, len(succs))])
+    return path
+
+
 def sample_chain(
     app: Application,
     rng: SeedLike = None,
@@ -68,25 +110,23 @@ def sample_chain(
     ``max_length``), otherwise stops — so chains are geometrically
     distributed in length, matching the heavy skew toward short requests
     in production traces.  ``min_length`` forces continuation while
-    successors exist.
+    successors exist.  The walk is :func:`walk_chain`.
     """
     if not (0.0 <= length_bias <= 1.0):
         raise ValueError(f"length_bias must be in [0, 1], got {length_bias}")
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
-    gen = as_generator(rng)
     limit = max_length if max_length is not None else app.n_services
-    entry = int(gen.choice(app.entrypoints))
-    path = [entry]
-    while len(path) < limit:
-        succs = [s for s in app.successors(path[-1]) if s not in path]
-        if not succs:
-            break
-        must_continue = len(path) < min_length
-        if not must_continue and gen.random() > length_bias:
-            break
-        path.append(int(gen.choice(succs)))
-    return tuple(path)
+    return tuple(
+        walk_chain(
+            as_generator(rng),
+            app.entrypoints,
+            successor_table(app),
+            length_bias,
+            min_length,
+            limit,
+        )
+    )
 
 
 def chain_catalog(

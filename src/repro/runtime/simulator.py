@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -542,6 +542,10 @@ class OnlineSimulator:
     ) -> _SlotState:
         """Speculative stage: window generation plus the slot's solve.
 
+        Traced as two sibling spans under the slot: ``generate``
+        (mobility step, arrivals, request generation, instance build and
+        outage degrade) and ``provision`` (the solve).
+
         Reads only the solver's own state, the workload/mobility RNG
         streams and the outage schedule — never the instance pool, the
         autoscaler, or replay output — so pipelined mode can run it
@@ -552,47 +556,36 @@ class OnlineSimulator:
         tracer = ctx.tracer
         state = _SlotState(slot=slot)
         t0 = time.perf_counter()
-        homes = self.mobility.step()
-        state.churn = float(np.mean(homes != ctx.prev_homes))
-        ctx.prev_homes = homes
+        with tracer.span("generate"):
+            homes = self.mobility.step()
+            state.churn = float(np.mean(homes != ctx.prev_homes))
+            ctx.prev_homes = homes
 
-        n_active = self.workload.n_users
-        if volumes is not None:
-            n_active = int(
-                min(self.workload.n_users, volumes[slot % len(volumes)])
+            n_active = self.workload.n_users
+            if volumes is not None:
+                n_active = int(
+                    min(self.workload.n_users, volumes[slot % len(volumes)])
+                )
+                n_active = max(1, n_active)
+            active = self._arrival_rng.choice(
+                self.workload.n_users, size=n_active, replace=False
             )
-            n_active = max(1, n_active)
-        active = self._arrival_rng.choice(
-            self.workload.n_users, size=n_active, replace=False
-        )
 
-        spec = WorkloadSpec(
-            n_users=n_active,
-            hotspot_fraction=self.workload.hotspot_fraction,
-            hotspot_weight=self.workload.hotspot_weight,
-            length_bias=self.workload.length_bias,
-            min_chain=self.workload.min_chain,
-            max_chain=self.workload.max_chain,
-            data_in_range=self.workload.data_in_range,
-            data_out_range=self.workload.data_out_range,
-            edge_noise=self.workload.edge_noise,
-            data_scale=self.workload.data_scale,
-        )
-        requests = generate_requests(
-            self.network,
-            self.app,
-            spec,
-            rng=self._workload_rng,
-            homes=homes[active],
-        )
-        instance = ProblemInstance(
-            self.network, self.app, requests, self.problem_config
-        )
-        if outages is not None:
-            from repro.runtime.failures import degrade_instance
+            requests = generate_requests(
+                self.network,
+                self.app,
+                replace(self.workload, n_users=n_active),
+                rng=self._workload_rng,
+                homes=homes[active],
+            )
+            instance = ProblemInstance(
+                self.network, self.app, requests, self.problem_config
+            )
+            if outages is not None:
+                from repro.runtime.failures import degrade_instance
 
-            state.down = outages.step()
-            instance = degrade_instance(instance, state.down)
+                state.down = outages.step()
+                instance = degrade_instance(instance, state.down)
         state.instance = instance
         state.t_generate = time.perf_counter() - t0
 

@@ -28,6 +28,18 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def choice_index(gen: np.random.Generator, k: int) -> int:
+    """Index of a uniform pick among ``k`` items, drawn as ``choice`` does.
+
+    ``seq[choice_index(gen, len(seq))]`` returns the element
+    ``gen.choice(seq)`` would and leaves ``gen`` in the same state,
+    without converting ``seq`` to an array: ``choice`` draws
+    ``gen.integers(0, k)``, and with ``k == 1`` that draw consumes no
+    bits, so the call is skipped.
+    """
+    return int(gen.integers(0, k)) if k > 1 else 0
+
+
 def spawn(rng: SeedLike, n: int) -> list[np.random.Generator]:
     """Derive ``n`` statistically independent child generators.
 

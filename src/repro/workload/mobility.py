@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.network.topology import EdgeNetwork
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, choice_index
 from repro.utils.validation import check_positive, check_probability
 
 
@@ -69,11 +69,11 @@ class RandomWaypointMobility:
         self._rng = as_generator(seed)
 
         self._homes = self._rng.integers(0, network.n, size=self.n_users)
-        # Per-node neighbor arrays, resolved lazily: discrete steps draw
-        # one choice per moving user, and the topology is static, so
-        # caching avoids an adjacency scan per user per slot without
-        # touching the RNG stream.
-        self._neighbor_cache: dict[int, np.ndarray] = {}
+        # Per-node neighbor indices, resolved once: the topology is
+        # static, and a discrete step picks one per moving user.
+        self._neighbors = [
+            tuple(network.neighbors(k).tolist()) for k in range(network.n)
+        ]
         if mode == "planar":
             positions = network.positions
             lo = positions.min(axis=0)
@@ -98,15 +98,12 @@ class RandomWaypointMobility:
         """Advance one time slot; returns the new home vector."""
         if self.mode == "discrete":
             moving = self._rng.random(self.n_users) < self.move_prob
-            cache = self._neighbor_cache
-            for u in np.nonzero(moving)[0]:
-                home = int(self._homes[u])
-                neighbors = cache.get(home)
-                if neighbors is None:
-                    neighbors = self.network.neighbors(home)
-                    cache[home] = neighbors
-                if neighbors.size:
-                    self._homes[u] = int(self._rng.choice(neighbors))
+            homes = self._homes
+            for u in np.flatnonzero(moving).tolist():
+                neighbors = self._neighbors[homes[u]]
+                if neighbors:
+                    pick = choice_index(self._rng, len(neighbors))
+                    homes[u] = neighbors[pick]
         else:
             speed = self._rng.uniform(*self.speed_range, size=(self.n_users, 1))
             delta = self._waypoints - self._pos

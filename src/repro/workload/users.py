@@ -5,23 +5,36 @@ paper distributes them around base stations near the National Stadium and
 samples their service chains from the eshopOnContainers dependency graph
 with stochastic dependencies.  :func:`generate_requests` reproduces this:
 spatially clustered home assignment (a small number of hot cells receive
-most users, matching the stadium scenario) and chain sampling via
-:func:`repro.microservices.chains.sample_chain`.
+most users, matching the stadium scenario) and chain sampling by the
+biased walk of :func:`repro.microservices.chains.sample_chain`.
 
 Data volumes follow §V.A: per-request upload/response sizes and per-edge
 flows derived from each microservice's ``data_out`` with multiplicative
 noise, spanning the paper's [1, 80] GB range once scaled by request rate.
+
+:func:`generate_requests` is defined by its *sequential* RNG stream:
+per request, the chain walk's draws, then one uniform per hop (edge
+noise), then ``data_in``, then ``data_out``.  Every seeded workload —
+and so every digest and golden result — depends on that exact order, so
+the stream is the contract and any faster implementation must keep it
+draw for draw.  :func:`generate_request_batch` trades the contract for
+an O(1)-call batched stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.microservices.application import Application
-from repro.microservices.chains import chain_catalog, sample_chain
+from repro.microservices.chains import (
+    chain_catalog,
+    successor_table,
+    walk_chain,
+)
 from repro.network.topology import EdgeNetwork
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_probability
@@ -77,6 +90,13 @@ class WorkloadSpec:
             raise ValueError(
                 f"invalid chain bounds: min={self.min_chain} max={self.max_chain}"
             )
+        for name in ("data_in_range", "data_out_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo <= hi):
+                raise ValueError(
+                    f"{name} must be finite with 0 <= lo <= hi, "
+                    f"got {(lo, hi)!r}"
+                )
         check_probability("edge_noise", self.edge_noise)
         check_positive("data_scale", self.data_scale)
 
@@ -120,8 +140,17 @@ def generate_requests(
 
     Returns a columnar :class:`~repro.workload.requests.RequestBatch`
     (a sequence of :class:`UserRequest` views, so per-request consumers
-    are unaffected).  The RNG draw order is unchanged from the original
-    per-object generator, keeping every seeded workload bit-identical;
+    are unaffected).
+
+    The output and the generator's final state are byte-identical to the
+    per-object loop that drew each chain with ``sample_chain`` and each
+    volume with a scalar ``Generator.uniform`` (the module's stream
+    contract).  The fast path keeps every draw: successors and
+    entrypoints are resolved once per call, each walk picks with the
+    draw ``Generator.choice`` makes (:func:`walk_chain`), and a
+    request's trailing ``len(chain) + 1`` uniforms come as one
+    ``Generator.random`` block, mapped onto their ranges after the loop
+    with ``uniform``'s own float64 arithmetic (:func:`_uniform`).
     :func:`generate_request_batch` is the fully vectorized alternative
     with a different (batched) stream for trace-scale workloads.
     """
@@ -140,46 +169,91 @@ def generate_requests(
             f"homes must have shape ({spec.n_users},), got {homes.shape}"
         )
 
-    douts = [app.service(i).data_out for i in range(app.n_services)]
     n = spec.n_users
+    entries = app.entrypoints
+    successors = successor_table(app)
+    random = gen.random
     chains_flat: list[int] = []
-    edge_flat: list[float] = []
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    data_in = np.empty(n, dtype=np.float64)
-    data_out = np.empty(n, dtype=np.float64)
-    for h in range(n):
-        chain = sample_chain(
-            app,
+    lengths: list[int] = []
+    draws: list[np.ndarray] = []
+    for _ in range(n):
+        chain = walk_chain(
             gen,
-            length_bias=spec.length_bias,
-            min_length=spec.min_chain,
-            max_length=spec.max_chain,
+            entries,
+            successors,
+            spec.length_bias,
+            spec.min_chain,
+            spec.max_chain,
         )
-        # Draw order matches the original per-object generator exactly:
-        # per-edge noise first, then data_in, then data_out.
-        for a in chain[:-1]:
-            edge_flat.append(
-                float(
-                    spec.data_scale
-                    * douts[a]
-                    * (1.0 + gen.uniform(-spec.edge_noise, spec.edge_noise))
-                )
-            )
         chains_flat.extend(chain)
-        offsets[h + 1] = len(chains_flat)
-        data_in[h] = float(spec.data_scale * gen.uniform(*spec.data_in_range))
-        data_out[h] = float(spec.data_scale * gen.uniform(*spec.data_out_range))
+        lengths.append(len(chain))
+        # one uniform per hop (edge noise), then data_in, then data_out
+        draws.append(random(len(chain) + 1))
+
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    chains = np.array(chains_flat, dtype=np.int64)
+    u = np.concatenate(draws)
+    # request h's draws start at offsets[h] + h; its last two are the
+    # data_in and data_out uniforms, the rest are per-hop noise
+    in_pos = offsets[1:] + np.arange(n, dtype=np.int64) - 1
+    noise = np.ones(u.size, dtype=bool)
+    noise[in_pos] = False
+    noise[in_pos + 1] = False
+    edge_data, data_in, data_out = _volumes(
+        app, spec, chains, offsets, u[noise], u[in_pos], u[in_pos + 1]
+    )
     return RequestBatch(
         index=np.arange(n, dtype=np.int64),
         homes=homes,
-        chains=np.array(chains_flat, dtype=np.int64),
+        chains=chains,
         chain_offsets=offsets,
         data_in=data_in,
         data_out=data_out,
-        edge_data=np.array(edge_flat, dtype=np.float64),
+        edge_data=edge_data,
         validate=False,
     )
+
+
+def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
+    """Map standard uniforms ``u`` onto ``[lo, hi)``.
+
+    The float64 arithmetic of ``Generator.uniform(lo, hi)`` (``lo + (hi -
+    lo) * u``), so ``Generator.random`` draws transformed here are
+    byte-identical to the same number of ``uniform`` draws.
+    """
+    lo, hi = float(lo), float(hi)
+    return lo + (hi - lo) * u
+
+
+def _volumes(
+    app: Application,
+    spec: WorkloadSpec,
+    chains: np.ndarray,
+    offsets: np.ndarray,
+    noise_u: np.ndarray,
+    in_u: np.ndarray,
+    out_u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edge_data, data_in, data_out)`` of CSR chains from uniforms.
+
+    ``noise_u`` holds one standard uniform per hop (every chain position
+    but the last, in order), ``in_u`` and ``out_u`` one per request.
+    """
+    hop = np.ones(chains.size, dtype=bool)
+    hop[offsets[1:] - 1] = False
+    douts = np.array(
+        [app.service(i).data_out for i in range(app.n_services)],
+        dtype=np.float64,
+    )
+    edge_data = (
+        spec.data_scale
+        * douts[chains[hop]]
+        * (1.0 + _uniform(-spec.edge_noise, spec.edge_noise, noise_u))
+    )
+    data_in = spec.data_scale * _uniform(*spec.data_in_range, in_u)
+    data_out = spec.data_scale * _uniform(*spec.data_out_range, out_u)
+    return edge_data, data_in, data_out
 
 
 def generate_request_batch(
@@ -234,22 +308,14 @@ def generate_request_batch(
     picked = cat_mat[pick]
     chains_flat = picked[picked >= 0]
 
-    douts = np.array(
-        [app.service(i).data_out for i in range(app.n_services)],
-        dtype=np.float64,
-    )
-    is_last = np.zeros(chains_flat.size, dtype=bool)
-    is_last[offsets[1:] - 1] = True
-    edge_services = chains_flat[~is_last]
-    noise = gen.uniform(
-        -spec.edge_noise, spec.edge_noise, size=edge_services.size
-    )
-    edge_data = spec.data_scale * douts[edge_services] * (1.0 + noise)
-    data_in = spec.data_scale * gen.uniform(
-        *spec.data_in_range, size=n
-    )
-    data_out = spec.data_scale * gen.uniform(
-        *spec.data_out_range, size=n
+    edge_data, data_in, data_out = _volumes(
+        app,
+        spec,
+        chains_flat,
+        offsets,
+        gen.random(chains_flat.size - n),
+        gen.random(n),
+        gen.random(n),
     )
     return RequestBatch(
         index=np.arange(n, dtype=np.int64),

@@ -317,6 +317,17 @@ class TestPipelinedBitIdentity:
             shape(s) for s in on_tr.roots
         ]
 
+    @pytest.mark.parametrize("pipeline", ["off", "on"])
+    def test_slot_spans_carry_generate_and_provision(self, pipeline):
+        """Every slot attributes its prefix to sibling ``generate`` and
+        ``provision`` spans, in that order."""
+        _, tracer, _ = _run_trace(pipeline, shards=2, traced=True)
+        slots = [s for s in tracer.roots if s.name == "slot"]
+        assert len(slots) == 4
+        for slot in slots:
+            names = [c.name for c in slot.children]
+            assert names.index("generate") < names.index("provision")
+
     def test_pipeline_counters_present_only_when_pipelined(self):
         _, off_tr, _ = _run_trace("off", shards=2, traced=True)
         _, on_tr, _ = _run_trace("on", shards=2, traced=True)

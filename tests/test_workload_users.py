@@ -32,6 +32,26 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"data_in_range": (-2.0, -1.0)},  # negative volumes
+            {"data_out_range": (-0.5, 1.0)},
+            {"data_in_range": (3.0, 2.0)},  # hi < lo
+            {"data_out_range": (float("nan"), 1.0)},
+            {"data_in_range": (0.5, float("nan"))},
+            {"data_out_range": (0.0, float("inf"))},
+        ],
+    )
+    def test_invalid_volume_ranges(self, kwargs):
+        with pytest.raises(ValueError, match="finite with 0 <= lo <= hi"):
+            WorkloadSpec(n_users=5, **kwargs)
+
+    def test_degenerate_volume_range_valid(self, net, eshop_app):
+        spec = WorkloadSpec(n_users=5, data_in_range=(0.0, 0.0))
+        batch = generate_requests(net, eshop_app, spec, rng=0)
+        assert np.all(batch.data_in == 0.0)
+
 
 class TestPlaceUsers:
     def test_shape_and_range(self, net):
