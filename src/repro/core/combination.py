@@ -32,11 +32,22 @@ the touched service between descent rounds instead of recomputing the
 full tables.  The ζ row of a service is produced for **all** of its
 hosts at once by one masked best/second-best argmin over the
 ``(demand_nodes, hosts)`` cost matrix (see :meth:`CombinationState._zeta_row`),
-replacing the per-(host, demand-node) Python loops.  The serial stage's
+replacing the per-(host, demand-node) Python loops.
+
+The serial stage scores only the requests a merge can change.  Its
 true-objective evaluations share a :class:`~repro.model.engine.BatchRouter`
-so each candidate merge re-routes only the chains touching the merged
-service.  All cached results are bit-identical to a fresh recompute;
-``tests/test_property_combination_cache.py`` enforces this.
+whose committed base is the placement the descent last accepted: each
+candidate is a trial against that base, re-routing and re-scoring only
+the requests whose chain contains a service whose hosts differ from it
+(found through :attr:`~repro.model.instance.ProblemInstance.service_requests`).
+``Q`` before a merge is the base's sum, and accepting a merge adopts the
+stored trial (:meth:`CombinationState.commit_optimal`).  The deadline
+checks (Eq. 4) score the reliance routing the same way: only requests
+touching a service whose reliance row changed since the previous check
+are re-scored, and nothing is scored when no deadline is finite.  All
+cached results are bit-identical to a fresh recompute;
+``tests/test_property_combination_cache.py`` enforces this and keeps the
+full-rescore driver as an oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from repro.core.storage import storage_plan
 from repro.model.cost import deployment_cost
 from repro.model.engine import BatchRouter
 from repro.model.instance import ProblemInstance
-from repro.model.latency import total_latency
+from repro.model.latency import _components
 from repro.model.placement import Placement, Routing
 from repro.obs import MetricsRegistry, current_tracer
 
@@ -108,6 +119,14 @@ class CombinationState:
         self._zeta_rows: dict[int, dict[int, float]] = {}
         self._reliance_matrix: Optional[np.ndarray] = None
         self._router: Optional[BatchRouter] = None
+        # reliance-routing latency per request, and the reliance matrix it
+        # was scored against (re-scored per touched row, see
+        # :meth:`reliance_latency`)
+        self._rel_latency: Optional[np.ndarray] = None
+        self._rel_scored: Optional[np.ndarray] = None
+        self._finite_deadlines = bool(np.isfinite(instance.deadlines).any())
+        self.rows_scored = 0
+        self.rows_total = 0
         self._cost_cache: Optional[float] = None
         # placement-dependent host arrays (invalidated per service) and
         # instance-static demand slices (never invalidated)
@@ -241,18 +260,62 @@ class CombinationState:
             self._reliance_matrix = rel
         return self._reliance_matrix
 
+    def _reliance_assignment(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Reliance-routing assignment rows of ``rows`` (all when ``None``)."""
+        inst = self.instance
+        chain, mask, homes = inst.chain_matrix, inst.chain_mask, inst.homes
+        if rows is not None:
+            chain, mask, homes = chain[rows], mask[rows], homes[rows]
+        a = np.full(chain.shape, -1, dtype=np.int64)
+        assigned = self.reliance[np.where(mask, chain, 0), homes[:, None]]
+        a[mask] = assigned[mask]
+        return a
+
     def routing(self) -> Routing:
         """Materialize the reliance choices as a :class:`Routing`."""
+        return Routing(self.instance, self._reliance_assignment())
+
+    def reliance_latency(self) -> np.ndarray:
+        """Per-request latency ``D_h`` under the reliance routing (read-only).
+
+        Equal to ``total_latency(instance, self.routing())``, but only the
+        requests whose chain contains a service whose reliance row changed
+        since the previous call are re-scored.
+        """
         inst = self.instance
         rel = self.reliance
-        a = np.full((inst.n_requests, inst.max_chain), -1, dtype=np.int64)
-        chain = inst.chain_matrix
-        mask = inst.chain_mask
-        homes = inst.homes
-        chain_safe = np.where(mask, chain, 0)
-        assigned = rel[chain_safe, homes[:, None]]
-        a[mask] = assigned[mask]
-        return Routing(inst, a)
+        if self._rel_latency is None:
+            rows = None
+            n = inst.n_requests
+        else:
+            changed = np.nonzero((rel != self._rel_scored).any(axis=1))[0]
+            rows = inst.requests_touching(changed)
+            n = rows.size
+        self.rows_scored += n
+        self.rows_total += inst.n_requests
+        if n:
+            lat = _components(inst, self._reliance_assignment(rows), None, rows=rows).total
+            if rows is None:
+                self._rel_latency = lat
+            else:
+                self._rel_latency = self._rel_latency.copy()
+                self._rel_latency[rows] = lat
+            self._rel_latency.flags.writeable = False
+        self._rel_scored = rel
+        return self._rel_latency
+
+    def violates_deadlines(self) -> bool:
+        """Whether any request misses its deadline (Eq. 4) under the
+        reliance routing.
+
+        No request can miss an infinite deadline, so without a finite one
+        nothing is scored.
+        """
+        if not self._finite_deadlines:
+            return False
+        return bool(
+            np.any(self.reliance_latency() > self.instance.deadlines + 1e-9)
+        )
 
     def objective(self, routing: str = "reliance") -> float:
         """Eq. (8) objective value Q.
@@ -261,22 +324,31 @@ class CombinationState:
         routing (cheap, used inside the parallel stage); ``"optimal"``
         re-routes every request optimally first — the value the serial
         stage's gradient δ compares (Alg. 3 lines 7/9 evaluate the true
-        objective).  The optimal path goes through a cached
-        :class:`~repro.model.engine.BatchRouter`, so consecutive calls
-        that differ in one service's hosts only re-route the chains
-        containing that service.
+        objective).  Both paths re-score only the requests a change can
+        affect: the optimal one scores the placement as a trial against
+        the :class:`~repro.model.engine.BatchRouter`'s committed base
+        (see :meth:`commit_optimal`), the reliance one re-scores the rows
+        touching services whose reliance row changed.
         """
         inst = self.instance
         lam = inst.config.weight
         cost = self.cost()
         if routing == "optimal":
-            if self._router is None:
-                self._router = BatchRouter(inst)
-            r = self._router.route(self.placement)
+            lat = self._optimal_router().latency_sum(self.placement)
         else:
-            r = self.routing()
-        lat = float(total_latency(inst, r).sum())
+            lat = float(self.reliance_latency().sum())
         return lam * cost + (1.0 - lam) * lat
+
+    def _optimal_router(self) -> BatchRouter:
+        if self._router is None:
+            self._router = BatchRouter(self.instance)
+        return self._router
+
+    def commit_optimal(self) -> None:
+        """Make the current placement the optimal-routing base that later
+        ``objective("optimal")`` calls are scored against; a placement
+        already scored is adopted without routing again."""
+        self._optimal_router().commit(self.placement)
 
     def cost(self) -> float:
         """Deployment cost of the current placement (cached per mutation)."""
@@ -651,6 +723,7 @@ def multi_scale_combination(
             zetas = latency_losses(state, tabu, n_jobs=config.n_jobs)
             if not zetas:
                 break
+            # the placement is the router's committed base: no routing
             q_before = state.objective("optimal")
             snapshot = state.placement.copy()
 
@@ -663,8 +736,7 @@ def multi_scale_combination(
                 plan = storage_plan(instance, state.placement, config)
                 state.set_placement(plan.placement)
                 # deadline check (Eq. 4) with roll-back
-                lat = total_latency(instance, state.routing())
-                if np.any(lat > instance.deadlines + 1e-9):
+                if state.violates_deadlines():
                     tabu.add((service, node))
                     reg.inc("rollbacks")
                     continue
@@ -683,6 +755,7 @@ def multi_scale_combination(
             state.set_placement(plan.placement)
 
             if forced:
+                state.commit_optimal()
                 # Budget/storage still violated: merging is mandatory, the
                 # gradient test does not apply (Alg. 5 line 17 path).
                 storage_ok = plan.success
@@ -696,6 +769,7 @@ def multi_scale_combination(
             if delta <= 0:
                 state.set_placement(snapshot)
                 break
+            state.commit_optimal()
             storage_ok = plan.success
             reg.inc("migrations", len(plan.migrations))
             reg.inc("serial_merges")
@@ -708,8 +782,7 @@ def multi_scale_combination(
             reg.inc("relocations", relocation_pass(state, config))
             if reg.get("relocations"):
                 # deadline guard: relocations must not break Eq. (4)
-                lat = total_latency(instance, state.routing())
-                if np.any(lat > instance.deadlines + 1e-9):
+                if state.violates_deadlines():
                     state.set_placement(snapshot)
                     reg.inc("relocations", -reg.get("relocations"))
 
@@ -719,9 +792,14 @@ def multi_scale_combination(
         reg.inc("zeta_cache_rebuilds", state.zeta_rebuilds)
         reg.inc("reliance_cache_hits", state.reliance_hits)
         reg.inc("reliance_cache_rebuilds", state.reliance_rebuilds)
+        rows_scored, rows_total = state.rows_scored, state.rows_total
         if state._router is not None:
             reg.inc("router_services_rerouted", state._router.rerouted_services)
             reg.inc("router_services_cached", state._router.cached_services)
+            rows_scored += state._router.rows_scored
+            rows_total += state._router.rows_total
+        reg.inc("latency_rows_scored", rows_scored)
+        reg.inc("latency_rows_total", rows_total)
         tracer.metrics.merge(reg, prefix="combination.")
     logger.debug(
         "multi_scale_combination: %d parallel + %d serial merges, "

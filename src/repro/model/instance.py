@@ -12,7 +12,9 @@ and precomputes the dense arrays every solver consumes:
 * demand matrices ``|U^{m_i}_{v_k}|`` and the data-volume variant used by
   the partitioning stage;
 * the combination stage's inputs: Def. 9 order factors (Alg. 5) and the
-  service pairs adjacent in some chain (Alg. 3's conflict filter).
+  service pairs adjacent in some chain (Alg. 3's conflict filter);
+* a service → requests CSR index, so incremental routing and scoring
+  find the requests a host-set change can affect without a scan.
 
 Every request-derived array is computed once, from one columnar
 :class:`~repro.workload.requests.RequestBatch`: tuple input is converted
@@ -321,6 +323,33 @@ class ProblemInstance:
             np.minimum(head, tail)[edge] * S + np.maximum(head, tail)[edge]
         )
         return _readonly(np.column_stack([keys // S, keys % S]))
+
+    @cached_property
+    def service_requests(self) -> tuple[np.ndarray, np.ndarray]:
+        """Service → requests index in CSR form ``(indptr, rows)``.
+
+        ``rows[indptr[i]:indptr[i + 1]]`` are the requests whose chain
+        contains service ``i``, ascending and unique (read-only).
+        """
+        S, H = self.n_services, self.n_requests
+        mask = self.chain_mask
+        keys = np.unique(self.chain_matrix[mask] * H + np.nonzero(mask)[0])
+        indptr = np.zeros(S + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // H, minlength=S), out=indptr[1:])
+        return _readonly(indptr), _readonly(keys % H)
+
+    def requests_touching(self, services) -> np.ndarray:
+        """Ascending unique requests whose chain contains any of ``services``."""
+        indptr, rows = self.service_requests
+        parts = [rows[indptr[i] : indptr[i + 1]] for i in np.asarray(services).tolist()]
+        if not parts:
+            return np.zeros(0, dtype=np.int64)
+        if len(parts) == 1:
+            return parts[0]
+        hit = np.zeros(self.n_requests, dtype=bool)
+        for part in parts:
+            hit[part] = True
+        return np.nonzero(hit)[0]
 
     @cached_property
     def requested_services(self) -> np.ndarray:

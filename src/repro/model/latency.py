@@ -46,18 +46,39 @@ class LatencyBreakdown:
         return self.d_in + self.d_compute + self.d_link + self.d_out
 
 
-def _components(
-    instance: ProblemInstance, routing: Routing, model: Optional[str]
-) -> LatencyBreakdown:
+def _check_model(instance: ProblemInstance, model: Optional[str]) -> str:
+    """Resolve ``model`` against the instance default; reject unknown names."""
     model = model or instance.config.latency_model
     if model not in ("chain", "star"):
         raise ValueError(f"unknown latency model {model!r}")
-    a = routing.assignment  # (H, L) extended node indices, -1 padding
-    mask = instance.chain_mask
+    return model
+
+
+def _components(
+    instance: ProblemInstance,
+    assignment: np.ndarray,
+    model: Optional[str],
+    rows: Optional[np.ndarray] = None,
+) -> LatencyBreakdown:
+    """Eq. (2) terms for the requests ``rows`` (all requests when ``None``).
+
+    ``assignment`` holds the assignment rows of exactly those requests,
+    shape ``(len(rows), L)`` (``(H, L)`` for the full call).  Every row is
+    computed by the same float operations whichever rows accompany it, so
+    a subset call is byte-equal, row by row, to the full call — the
+    property incremental scoring relies on.
+    """
+    model = _check_model(instance, model)
+
+    def take(arr: np.ndarray) -> np.ndarray:
+        return arr if rows is None else arr[rows]
+
+    a = assignment  # (R, L) extended node indices, -1 padding
+    mask = take(instance.chain_mask)
     inv = instance.inv_rate
-    homes = instance.homes
-    chain = instance.chain_matrix
-    H, L = a.shape
+    homes = take(instance.homes)
+    chain = take(instance.chain_matrix)
+    R, L = a.shape
 
     # Replace padding with 0 for safe fancy indexing; masked out later.
     a_safe = np.where(mask, a, 0)
@@ -65,7 +86,7 @@ def _components(
 
     # d_in: upload to the first assigned node.
     first = a_safe[:, 0]
-    d_in = instance.data_in * inv[homes, first]
+    d_in = take(instance.data_in) * inv[homes, first]
 
     # processing: q(m_i) / c(node) at every valid position.
     q = instance.service_compute[chain_safe]
@@ -80,25 +101,25 @@ def _components(
             edge_valid = mask[:, 1:]
             d_link = np.where(
                 edge_valid,
-                instance.edge_data_matrix[:, : L - 1] * inv[src, dst],
+                take(instance.edge_data_matrix)[:, : L - 1] * inv[src, dst],
                 0.0,
             ).sum(axis=1)
         else:  # star: each cycle from the user's home node
             # position 0's inflow is d_in (already counted); later
             # positions ship their inflow from home.
-            inflow = instance.inflow_matrix[:, 1:]
+            inflow = take(instance.inflow_matrix)[:, 1:]
             dst = a_safe[:, 1:]
             edge_valid = mask[:, 1:]
             d_link = np.where(
                 edge_valid, inflow * inv[homes[:, None], dst], 0.0
             ).sum(axis=1)
     else:
-        d_link = np.zeros(H)
+        d_link = np.zeros(R)
 
     # d_out: return from the last assigned node.
-    last_pos = instance.chain_lengths - 1
-    last = a_safe[np.arange(H), last_pos]
-    d_out = instance.data_out * inv[last, homes]
+    last_pos = take(instance.chain_lengths) - 1
+    last = a_safe[np.arange(R), last_pos]
+    d_out = take(instance.data_out) * inv[last, homes]
 
     return LatencyBreakdown(d_in=d_in, d_compute=d_compute, d_link=d_link, d_out=d_out)
 
@@ -113,7 +134,7 @@ def total_latency(
     ``model`` overrides the instance's configured latency model (used by
     the star-vs-chain ablation).
     """
-    return _components(instance, routing, model).total
+    return _components(instance, routing.assignment, model).total
 
 
 def request_latency(
@@ -132,4 +153,4 @@ def latency_breakdown(
     model: Optional[str] = None,
 ) -> LatencyBreakdown:
     """Full per-request decomposition into in/compute/link/out terms."""
-    return _components(instance, routing, model)
+    return _components(instance, routing.assignment, model)

@@ -25,7 +25,9 @@ exist.  Results — including argmin tie-breaking — are identical to the
 per-request DP (:func:`_route_one`), which remains the reference kernel
 and is still used by the sequential :func:`load_aware_routing` engine.
 
-Services without any edge instance fall back to the cloud node.
+Services without any edge instance fall back to the cloud node.  Every
+entry point rejects an unknown latency model with the ``ValueError`` of
+:func:`~repro.model.latency.total_latency`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.model.instance import ProblemInstance
+from repro.model.latency import _check_model
 from repro.model.placement import Placement, Routing
 
 
@@ -80,7 +83,7 @@ def route_request(
     request's chain length.  Thin wrapper over :func:`_route_one`, the
     single-request reference kernel.
     """
-    model = model or instance.config.latency_model
+    model = _check_model(instance, model)
     if hosts is None:
         hosts = _host_lists(instance, placement)
     return _route_one(
@@ -109,10 +112,11 @@ def _star_assign(
     Positions decouple under the star model, so every valid ``(h, j)``
     chain position of the workload becomes one row of a flat
     ``(positions, Hmax)`` cost matrix; a single masked argmin yields all
-    assignments at once.  ``services`` restricts the update to positions
-    whose service is in the set (incremental re-routing after a placement
-    change that touched only those services); ``rows`` restricts it to a
-    subset of requests (:func:`partial_reroute`).
+    assignments at once.  ``rows`` restricts the update to a subset of
+    requests, and ``a`` then holds just those requests' assignment rows,
+    shape ``(len(rows), L)``; ``services`` further restricts it to the
+    positions whose service is in the set (incremental re-routing after
+    a placement change that touched only those services).
 
     A pure ``(service, home)`` argmin table would be even smaller, but it
     is exact only when all requests ship identical data volumes: the
@@ -123,18 +127,20 @@ def _star_assign(
     mask = inst.chain_mask
     chain = inst.chain_matrix
     if rows is not None:
-        row_mask = np.zeros(mask.shape[0], dtype=bool)
-        row_mask[rows] = True
-        mask = mask & row_mask[:, None]
+        mask = mask[rows]
+        chain = chain[rows]
     if services is not None:
-        mask = mask & np.isin(chain, services)
-    hs, js = np.nonzero(mask)
-    if hs.size == 0:
+        touched = np.zeros(inst.n_services, dtype=bool)
+        touched[services] = True
+        mask = mask & touched[np.where(mask, chain, 0)]
+    local, js = np.nonzero(mask)
+    if local.size == 0:
         return
+    hs = local if rows is None else rows[local]
     pad, valid = _padded_hosts(hosts)
     inv = inst.inv_rate
     q = inst.service_compute
-    svc = chain[hs, js]
+    svc = chain[local, js]
     cand = pad[svc]  # (P, Hmax)
     home = inst.homes[hs]
     w_in = inst.inflow_matrix[hs, js]
@@ -144,7 +150,7 @@ def _star_assign(
     cost = cost + out_w[:, None] * inv[cand, home[:, None]]
     cost[~valid[svc]] = np.inf
     pick = np.argmin(cost, axis=1)
-    a[hs, js] = cand[np.arange(hs.size), pick]
+    a[local, js] = cand[np.arange(hs.size), pick]
 
 
 def _chain_assign_batch(
@@ -172,7 +178,8 @@ def _chain_assign_batch(
     per-request reference kernel :func:`_route_one`.
 
     ``rows`` restricts the DP to a subset of requests (incremental
-    re-routing); assignments for other requests are left untouched.
+    re-routing); ``a`` then holds just those requests' assignment rows,
+    shape ``(len(rows), L)``.
     """
     inst = instance
     inv = inst.inv_rate
@@ -239,11 +246,10 @@ def _chain_assign_batch(
         ]
         sel = final.argmin(axis=1)
         grp_rows = np.arange(grp.size)
-        out_rows = grp if rows is None else rows[grp]
-        a[out_rows, length - 1] = last_cand[grp_rows, sel]
+        a[grp, length - 1] = last_cand[grp_rows, sel]
         for j in range(length - 1, 0, -1):
             sel = backs[j - 1][np.searchsorted(acts[j], grp), sel]
-            a[out_rows, j - 1] = pad[chain[grp, j - 1]][grp_rows, sel]
+            a[grp, j - 1] = pad[chain[grp, j - 1]][grp_rows, sel]
 
 
 def optimal_routing(
@@ -257,7 +263,7 @@ def optimal_routing(
     :func:`_route_one` per request; see the batch kernels above for how
     the per-request loop is collapsed.
     """
-    model = model or instance.config.latency_model
+    model = _check_model(instance, model)
     hosts = _host_lists(instance, placement)
     H, L = instance.n_requests, instance.max_chain
     a = np.full((H, L), -1, dtype=np.int64)
@@ -286,15 +292,17 @@ def partial_reroute(
     instead of a full-workload solve.  With ``rows`` covering every
     request this is exactly :func:`optimal_routing`.
     """
-    model = model or instance.config.latency_model
+    model = _check_model(instance, model)
     rows = np.asarray(rows, dtype=np.int64)
     a = np.array(assignment, dtype=np.int64, copy=True)
     if rows.size:
         hosts = _host_lists(instance, placement)
+        sub = a[rows]
         if model == "star":
-            _star_assign(instance, hosts, instance.compute_ext, a, rows=rows)
+            _star_assign(instance, hosts, instance.compute_ext, sub, rows=rows)
         else:
-            _chain_assign_batch(instance, hosts, instance.compute_ext, a, rows=rows)
+            _chain_assign_batch(instance, hosts, instance.compute_ext, sub, rows=rows)
+        a[rows] = sub
     return Routing(instance, a)
 
 
@@ -326,7 +334,7 @@ def load_aware_routing(
         raise ValueError(
             f"congestion_weight must be non-negative, got {congestion_weight}"
         )
-    model = model or instance.config.latency_model
+    model = _check_model(instance, model)
     hosts = _host_lists(instance, placement)
     inv = instance.inv_rate
     base_comp = instance.compute_ext.copy()

@@ -191,3 +191,29 @@ class TestPartialReroute:
             tiny_instance, placement, rows, stale, model=model
         )
         assert np.array_equal(out.assignment, base.assignment)
+
+
+class TestUnknownModel:
+    """Every routing entry point rejects a latency model it does not know,
+    with the same error as :func:`total_latency`, instead of routing it as
+    the chain model."""
+
+    def test_optimal_routing_rejects(self, tiny_instance):
+        with pytest.raises(ValueError, match="unknown latency model 'bogus'"):
+            optimal_routing(tiny_instance, Placement.full(tiny_instance), model="bogus")
+
+    def test_partial_reroute_rejects(self, tiny_instance):
+        from repro.model.routing import partial_reroute
+
+        placement = Placement.full(tiny_instance)
+        base = optimal_routing(tiny_instance, placement)
+        with pytest.raises(ValueError, match="unknown latency model 'bogus'"):
+            partial_reroute(
+                tiny_instance, placement, np.array([0]), base.assignment, model="bogus"
+            )
+
+    def test_batch_router_rejects(self, tiny_instance):
+        from repro.model import BatchRouter
+
+        with pytest.raises(ValueError, match="unknown latency model 'bogus'"):
+            BatchRouter(tiny_instance, model="bogus")

@@ -7,6 +7,8 @@ the per-request reference DP :func:`~repro.model.routing._route_one` —
 including argmin tie-breaking.  Hypothesis drives random instances and
 placements (empty services → cloud fallback, single-host services,
 mixed chain lengths) through both paths and asserts exact equality.
+The same goes for scoring: the row-subset latency kernel and the
+router's trial-against-base sums must be byte-equal to a full re-score.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.microservices import Application, Microservice
 from repro.model import BatchRouter, Placement, ProblemConfig, ProblemInstance
+from repro.model.latency import _components, total_latency
 from repro.model.routing import _host_lists, _route_one, greedy_routing, optimal_routing
 from repro.network import grid_topology
 from repro.workload import WorkloadSpec, generate_requests
@@ -126,3 +129,126 @@ def test_batch_router_incremental_matches_fresh(pair, model, data):
     before = router.rerouted_services
     router.route(placement)
     assert router.rerouted_services == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=instances_with_placements(),
+    model=st.sampled_from(["star", "chain"]),
+    data=st.data(),
+)
+def test_row_subset_components_match_full_call(pair, model, data):
+    """``_components`` on a row subset is byte-equal, row by row, to the
+    full call: empty, single-row, all-row and random subsets."""
+    inst, placement = pair
+    a = optimal_routing(inst, placement, model=model).assignment
+    full = _components(inst, a, model)
+    H = inst.n_requests
+    kind = data.draw(st.sampled_from(["empty", "single", "all", "random"]), label="kind")
+    if kind == "empty":
+        rows = np.zeros(0, dtype=np.int64)
+    elif kind == "single":
+        rows = np.array([data.draw(st.integers(0, H - 1), label="row")])
+    elif kind == "all":
+        rows = np.arange(H)
+    else:
+        rows = np.array(
+            sorted(data.draw(st.sets(st.integers(0, H - 1)), label="rows")),
+            dtype=np.int64,
+        )
+    sub = _components(inst, a[rows], model, rows=rows)
+    for name in ("d_in", "d_compute", "d_link", "d_out", "total"):
+        got = getattr(sub, name)
+        assert got.shape == (rows.size,)
+        assert got.tobytes() == getattr(full, name)[rows].tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=instances_with_placements(),
+    model=st.sampled_from(["star", "chain"]),
+    data=st.data(),
+)
+def test_batch_router_trials_match_fresh_scoring(pair, model, data):
+    """Random walk of placements with interleaved trials, commits and
+    routes: every trial's latency sum, and the committed base's per-row
+    latencies, are byte-equal to scoring a fresh optimal routing."""
+    inst, placement = pair
+    router = BatchRouter(inst, model=model)
+
+    def fresh(p):
+        return total_latency(inst, optimal_routing(inst, p, model=model), model=model)
+
+    base = placement.copy()
+    assert router.latency_sum(base) == float(fresh(base).sum())
+    n_steps = data.draw(st.integers(min_value=1, max_value=6), label="steps")
+    for _ in range(n_steps):
+        trial = base.copy()
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            svc = data.draw(st.integers(0, inst.n_services - 1), label="service")
+            node = data.draw(st.integers(0, inst.n_servers - 1), label="node")
+            if trial.has(svc, node):
+                trial.remove(svc, node)
+            else:
+                trial.add(svc, node)
+        assert router.latency_sum(trial) == float(fresh(trial).sum())
+        op = data.draw(st.sampled_from(["keep", "commit", "route"]), label="op")
+        if op == "commit":
+            router.commit(trial)
+            base = trial
+        elif op == "route":
+            routed = router.route(trial).assignment
+            assert np.array_equal(
+                routed, optimal_routing(inst, trial, model=model).assignment
+            )
+            base = trial
+        # the base the next trial is scored against is the committed one
+        assert router.latency_sum(base) == float(fresh(base).sum())
+        assert router._latency.tobytes() == fresh(base).tobytes()
+    assert np.array_equal(
+        router.route(base).assignment,
+        optimal_routing(inst, base, model=model).assignment,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=instances_with_placements())
+def test_service_requests_index_matches_chain_scan(pair):
+    """The service → requests CSR index lists, per service, exactly the
+    requests whose chain contains it, ascending."""
+    inst, _ = pair
+    indptr, rows = inst.service_requests
+    assert indptr.shape == (inst.n_services + 1,)
+    for svc in range(inst.n_services):
+        expected = [h for h, req in enumerate(inst.requests) if svc in req.chain]
+        assert rows[indptr[svc] : indptr[svc + 1]].tolist() == expected
+    both = inst.requests_touching([0, 1])
+    assert both.tolist() == [
+        h for h, req in enumerate(inst.requests) if {0, 1} & set(req.chain)
+    ]
+    assert inst.requests_touching([]).size == 0
+
+
+def test_router_counters_count_services_per_routed_placement():
+    """``rerouted_services + cached_services`` grows by ``n_services`` per
+    placement routed against the committed base; re-reading or committing
+    an already-scored trial counts nothing."""
+    inst = build_instance(3, 12, 4)
+    S = inst.n_services
+    base = Placement(np.ones((S, inst.n_servers), dtype=bool))
+    router = BatchRouter(inst)
+
+    def counts():
+        return router.rerouted_services, router.cached_services
+
+    router.route(base)
+    assert counts() == (S, 0)
+    trial = base.copy()
+    trial.remove(1, 0)
+    router.latency_sum(trial)
+    assert counts() == (S + 1, S - 1)
+    router.latency_sum(trial)  # stored trial
+    router.commit(trial)  # adopted, not routed again
+    assert counts() == (S + 1, S - 1)
+    router.route(base)  # one service differs from the new base
+    assert counts() == (S + 2, 2 * S - 2)
