@@ -52,7 +52,7 @@ def _slot_instances(n_slots: int, n_users: int = 40, seed: int = 0):
     ]
 
 
-def test_online_warm_start_speed(benchmark):
+def test_online_incremental_repair_speed(benchmark):
     instances = _slot_instances(6)
 
     def run_online():

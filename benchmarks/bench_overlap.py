@@ -161,8 +161,8 @@ def run_publish(args) -> int:
     executor = args.executor
     if executor == "shm" and not shm_ok:
         print("note: no shared memory on this host; falling back to the "
-              "process executor", flush=True)
-        executor = "process"
+              "serial executor", flush=True)
+        executor = "serial"
 
     scales = []
     for n_users in args.scales:
@@ -289,10 +289,10 @@ def main(argv=None) -> int:
     parser.add_argument("--n-users", type=int, default=100_000)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--slots", type=int, default=SLOTS)
-    parser.add_argument("--executor", choices=["serial", "process", "shm"],
+    parser.add_argument("--executor", choices=["serial", "shm"],
                         default="shm",
                         help="shard executor under both pipeline modes "
-                             "(shm falls back to process without shared "
+                             "(shm falls back to serial without shared "
                              "memory)")
     parser.add_argument(
         "--scales", type=int, nargs="+", default=[100_000, 300_000]

@@ -14,12 +14,6 @@ The shm rows record ``os.cpu_count()`` — on hosts with fewer than 4
 cores the multi-core speedup criterion is *gated* (recorded but not
 enforced), because worker processes cannot run in parallel there.
 
-A separate paired warm-start run (``--warm-slots`` consecutive slots,
-same streamed workload, fresh arrival draws per slot) replays the
-sequence cold and warm-seeded in fresh subprocesses and publishes a
-per-slot rounds table plus digest equality — the warm seed must never
-change committed bits, only round counts.
-
 For each scale the parent builds the fig-10-shaped slot once — workload
 streamed through :func:`repro.workload.users.generate_request_windows`
 and reassembled with :meth:`RequestBatch.concat`, full placement,
@@ -184,65 +178,6 @@ def worker_replay(args) -> None:
             out["shm_segments"] = sharded.stats.shm_segments
     out["digest"] = _digest(result, pool, cluster.nodes)
     out["peak_rss_mb"] = _peak_rss_mb()
-    print(json.dumps(out))
-
-
-def worker_warmstart(args) -> None:
-    """Child: replay ``--slots`` consecutive slots (fresh arrival draws
-    per slot, carried pool/node state) cold or warm-seeded; print the
-    per-slot rounds and a digest over every committed column."""
-    import numpy as np
-
-    from repro.runtime import ServerlessConfig
-    from repro.runtime.cluster import SimulatedCluster
-    from repro.runtime.replay import WarmStartCache
-    from repro.runtime.serverless import InstancePool
-    from repro.runtime.shard import RegionMap, replay_slot_sharded
-
-    net, inst, placement, _ = _build_slot(args.n_users)
-    routing = np.load(args.routing, allow_pickle=True).item()
-    pool = InstancePool(
-        placement, ServerlessConfig(cold_start=0.5, keep_alive=60.0)
-    )
-    cluster = SimulatedCluster(inst, placement, routing, pool=pool)
-    rmap = RegionMap.from_positions(net.positions, args.shards)
-    cache = WarmStartCache(len(net.servers)) if args.warm else None
-    req = np.arange(args.n_users)
-    span = args.n_users / RATE
-    h = hashlib.sha256()
-    rounds = []
-    seeded = []
-    t0 = time.perf_counter()
-    for slot in range(args.slots):
-        gen = np.random.default_rng(1000 + slot)
-        at = np.sort(gen.uniform(slot * span, (slot + 1) * span,
-                                 size=args.n_users))
-        sharded = replay_slot_sharded(
-            inst, placement, routing, pool, cluster.nodes, req, at, rmap,
-            warm_start=cache,
-        )
-        assert sharded is not None, f"slot {slot} declined"
-        rounds.append(sharded.stats.rounds)
-        seeded.append(bool(sharded.stats.warm_started))
-        for name in ("finish", "queueing", "cold_start"):
-            h.update(getattr(sharded.result, name).tobytes())
-    wall = time.perf_counter() - t0
-    h.update(repr(sorted(pool._last_used.items())).encode())
-    for nd in cluster.nodes:
-        h.update(repr(list(nd.core_free)).encode())
-    out = {
-        "mode": "warm" if args.warm else "cold",
-        "n_users": args.n_users,
-        "slots": args.slots,
-        "wall_s": wall,
-        "rounds": rounds,
-        "seeded": seeded,
-        "digest": h.hexdigest(),
-    }
-    if cache is not None:
-        out["warm_slots"] = cache.warm_slots
-        out["declined"] = cache.declined
-        out["suppressed"] = cache.suppressed
     print(json.dumps(out))
 
 
@@ -417,48 +352,6 @@ def run_publish(args) -> int:
         finally:
             os.unlink(routing_path)
 
-    # paired warm-start rounds table: same slot sequence, cold vs warm
-    print(f"=== warm start: {args.warm_slots} slots at "
-          f"n_users={args.warm_users} ===", flush=True)
-    with tempfile.NamedTemporaryFile(suffix=".npy", delete=False) as tmp:
-        routing_path = tmp.name
-    _spawn(
-        ["--worker", "prep", "--n-users", str(args.warm_users),
-         "--routing", routing_path]
-    )
-    try:
-        ws_argv = [
-            "--worker", "warmstart",
-            "--n-users", str(args.warm_users),
-            "--shards", str(args.shards),
-            "--slots", str(args.warm_slots),
-            "--routing", routing_path,
-        ]
-        cold = _spawn(ws_argv)
-        warm = _spawn(ws_argv + ["--warm"])
-    finally:
-        os.unlink(routing_path)
-    warm_start = {
-        "n_users": args.warm_users,
-        "slots": args.warm_slots,
-        "identical": cold["digest"] == warm["digest"],
-        "rounds_cold": cold["rounds"],
-        "rounds_warm": warm["rounds"],
-        "seeded": warm["seeded"],
-        "rounds_saved_total": sum(cold["rounds"]) - sum(warm["rounds"]),
-        "warm_slots": warm["warm_slots"],
-        "declined": warm["declined"],
-        "suppressed": warm["suppressed"],
-        "wall_s_cold": cold["wall_s"],
-        "wall_s_warm": warm["wall_s"],
-    }
-    print(
-        f"  rounds cold={cold['rounds']} warm={warm['rounds']} "
-        f"saved={warm_start['rounds_saved_total']} identical="
-        f"{warm_start['identical']}",
-        flush=True,
-    )
-
     smallest = scales[0]
     largest = scales[-1]
     doc = {
@@ -491,8 +384,6 @@ def run_publish(args) -> int:
             "arrival_rate": RATE,
             "window_size": WINDOW,
             "executors": [e for e in engines if e != "ref"],
-            "warm_users": args.warm_users,
-            "warm_slots": args.warm_slots,
         },
         "host": {
             "cpu_count": cpu_count,
@@ -500,7 +391,6 @@ def run_publish(args) -> int:
             "platform": sys.platform,
         },
         "scales": scales,
-        "warm_start": warm_start,
         "criteria": {
             "speedup_at_largest_scale": largest["speedup"],
             "speedup_ge_3x": largest["speedup"] >= 3.0,
@@ -511,7 +401,6 @@ def run_publish(args) -> int:
                 largest["generation"]["peak_rss_mb"]
                 <= 2.0 * max(smallest["generation"]["peak_rss_mb"], 1.0)
             ),
-            "warm_start_identical": warm_start["identical"],
             # The shm multi-core criterion (>= 2x over serial-sharded at
             # the largest scale) can only be demonstrated with real
             # parallelism: it is enforced on hosts with >= 4 cores and
@@ -538,7 +427,6 @@ def run_publish(args) -> int:
         crit["speedup_ge_3x"]
         and crit["all_identical"]
         and crit["gen_rss_within_2x"]
-        and crit["warm_start_identical"]
         and (crit["shm_parallel_gated"] or crit["shm_parallel_ge_2x"])
     )
     print(f"criteria: {json.dumps(crit)}")
@@ -548,7 +436,7 @@ def run_publish(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--worker", choices=["prep", "replay", "genrss", "warmstart"]
+        "--worker", choices=["prep", "replay", "genrss"]
     )
     parser.add_argument("--engine", choices=["ref", "sharded", "shm"])
     parser.add_argument("--executor", choices=["serial", "shm", "all"],
@@ -563,14 +451,6 @@ def main(argv=None) -> int:
         default=[100_000, 300_000, 1_000_000],
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--slots", type=int, default=6,
-                        help="(warmstart worker) slots per sequence")
-    parser.add_argument("--warm", action="store_true",
-                        help="(warmstart worker) seed from the cache")
-    parser.add_argument("--warm-users", type=int, default=100_000,
-                        help="scale of the paired warm-start run")
-    parser.add_argument("--warm-slots", type=int, default=6,
-                        help="slots in the paired warm-start run")
     parser.add_argument("--out", default="BENCH_shard.json")
     args = parser.parse_args(argv)
     if args.worker == "prep":
@@ -581,9 +461,6 @@ def main(argv=None) -> int:
         return 0
     if args.worker == "genrss":
         worker_genrss(args)
-        return 0
-    if args.worker == "warmstart":
-        worker_warmstart(args)
         return 0
     return run_publish(args)
 

@@ -56,6 +56,7 @@ from repro.obs import (
     use_tracer,
     write_jsonl,
 )
+from repro.runtime.shard import SHARD_EXECUTORS
 
 logger = logging.getLogger(__name__)
 
@@ -213,7 +214,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
         shards=args.shards,
         shard_executor=args.executor,
-        warm_start=args.warm_start,
         pipeline=args.pipeline,
     )
     outages = (
@@ -494,24 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="region shards for slot replay (>1 enables the "
                         "sharded engine; results are bit-identical)")
-    p.add_argument("--executor",
-                   choices=["serial", "process", "shm", "auto"],
-                   default="serial",
+    p.add_argument("--executor", choices=SHARD_EXECUTORS, default="serial",
                    help="sharded-replay executor: serial (in-process), "
-                        "process (pickled slices), shm (persistent workers "
-                        "over a shared-memory arena), or auto (serial below "
-                        "a users-per-shard threshold, shm above)")
-    p.add_argument("--warm-start", action="store_true",
-                   help="seed each slot's replay fixpoint from the previous "
-                        "slot's converged per-node state (bit-identical; "
-                        "only the round count changes)")
+                        "shm (persistent workers over a shared-memory "
+                        "arena), or auto (serial below a users-per-shard "
+                        "threshold, shm above)")
     p.add_argument("--pipeline", choices=["on", "off", "auto"],
                    default="auto",
                    help="pipelined slot execution: dispatch each slot's "
                         "replay to a background thread and overlap the next "
                         "slot's window generation + solve (bit-identical to "
-                        "off); auto pipelines only when a persistent "
-                        "process/shm shard executor carries the replay")
+                        "off); auto pipelines only when the shm shard "
+                        "executor carries the replay")
     p.add_argument("--fail-prob", type=float, default=0.0,
                    help="per-slot node failure probability (failure injection)")
     p.set_defaults(func=cmd_trace)

@@ -322,8 +322,6 @@ _SNAPSHOT_COLUMNS = (
     "replay_rounds",
     "shard_rounds",
     "shard_exchange_rounds",
-    "warm_hit_rate",
-    "warm_slots",
     "t_generate",
     "t_solve",
     "t_replay",

@@ -43,7 +43,7 @@ The full runtime model is documented in ``docs/RUNTIME.md``.
 from repro.runtime.events import EventQueue, Event
 from repro.runtime.serverless import InstancePool, InstanceState, ServerlessConfig
 from repro.runtime.cluster import SimulatedCluster, RequestOutcome
-from repro.runtime.replay import ReplayResult, WarmStartCache, replay_slot
+from repro.runtime.replay import ReplayResult, replay_slot
 from repro.runtime.shard import (
     RegionMap,
     RegionShard,
@@ -83,7 +83,6 @@ __all__ = [
     "SimulatedCluster",
     "RequestOutcome",
     "ReplayResult",
-    "WarmStartCache",
     "replay_slot",
     "RegionMap",
     "RegionShard",

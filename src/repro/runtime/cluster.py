@@ -115,7 +115,6 @@ class SimulatedCluster:
         region_map=None,
         shard_executor: str = "serial",
         shard_context=None,
-        warm_start=None,
     ):
         check_positive("cores_per_node", cores_per_node)
         self.instance = instance
@@ -147,9 +146,6 @@ class SimulatedCluster:
         #: the caller (usually :class:`~repro.runtime.simulator.
         #: OnlineSimulator`), shared across per-slot clusters.
         self.shard_context = shard_context
-        #: Optional cross-slot :class:`repro.runtime.replay.
-        #: WarmStartCache`, likewise caller-owned.
-        self.warm_start = warm_start
         self.shards = []
         self.last_shard_stats = None
         if region_map is not None:
@@ -422,7 +418,6 @@ class SimulatedCluster:
                 self.region_map,
                 executor=self.shard_executor,
                 shard_context=self.shard_context,
-                warm_start=self.warm_start,
             )
             if sharded is None:
                 self.fast_replay = False
@@ -437,7 +432,6 @@ class SimulatedCluster:
             self.nodes,
             req_arr,
             at_arr,
-            warm_start=self.warm_start,
         )
         if result is None:
             self.fast_replay = False

@@ -23,8 +23,8 @@ Two primitives live here:
 
 ``resolve_pipeline``
     Resolves the ``pipeline="auto"`` mode: pipelining pays when replay
-    leaves the main process (a persistent ``process``/``shm`` shard
-    executor), and costs only thread overhead otherwise.
+    leaves the main process (the persistent ``shm`` shard executor),
+    and costs only thread overhead otherwise.
 
 Bit-identity contract: pipelining reorders *wall-clock* work, never
 *logical* work.  All RNG draws, solver calls, and state mutations happen
@@ -101,9 +101,9 @@ def resolve_pipeline(
     """Resolve a ``pipeline`` mode to a concrete on/off decision.
 
     ``"on"`` and ``"off"`` pass through.  ``"auto"`` enables pipelining
-    only when a persistent out-of-process shard executor would be
-    active — at least two regions and a resolved ``process``/``shm``
-    engine (:func:`repro.runtime.shard.resolve_shard_executor`) — since
+    only when the out-of-process shm shard executor would be active —
+    at least two regions and a resolved ``shm`` engine
+    (:func:`repro.runtime.shard.resolve_shard_executor`) — since
     overlapping with an in-process replay only adds GIL contention.
     """
     if pipeline not in PIPELINE_MODES:
@@ -116,7 +116,4 @@ def resolve_pipeline(
         return False
     from repro.runtime.shard import resolve_shard_executor
 
-    return resolve_shard_executor(shard_executor, n_regions, n_req) in (
-        "process",
-        "shm",
-    )
+    return resolve_shard_executor(shard_executor, n_regions, n_req) == "shm"

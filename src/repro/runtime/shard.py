@@ -33,12 +33,11 @@ what lets a single worker absorb hundreds of thousands of invocations
 per round (``benchmarks/bench_shard.py``).
 
 Shards execute either **serially** in-process (the default — correct
-everywhere, no IPC) or on a **process pool** of persistent per-shard
-workers (:class:`repro.utils.parallel.PipeWorkerPool`, sized with the
-PR 2 harness helpers), where each worker holds only its shard's slice
-of the slot — this is what keeps coordinator memory flat as users
-grow.  Telemetry counters (``runtime.shard.*``) are documented in
-``docs/OBSERVABILITY.md``.
+everywhere, no IPC) or on persistent per-shard workers over a
+shared-memory arena (``executor="shm"``,
+:class:`repro.utils.parallel.ShardWorkerPool`), where each worker holds
+only its shard's slice of the slot.  Telemetry counters
+(``runtime.shard.*``) are documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.runtime.replay import (
     DEFAULT_MAX_ROUNDS,
     ReplayPlan,
     ReplayResult,
-    WarmStartCache,
     build_replay_plan,
     empty_result,
 )
@@ -643,9 +641,6 @@ class ShardSlice:
     keep_alive: float
     cold_penalty: float
     M: np.int64
-    # optional warm-start seed for this shard's rows (same shape as the
-    # ready matrix); ``None`` seeds from the congestion-free bound
-    warm_init: Optional[np.ndarray] = None
 
     @classmethod
     def from_plan(
@@ -733,11 +728,6 @@ class ShardCommit:
     tied: bool
     n_local: int
     n_boundary: int
-    # per owned node: summed admission delay (start − ready, includes
-    # cold-start penalties) and invocation count — feeds the cross-slot
-    # :class:`repro.runtime.replay.WarmStartCache`
-    node_wait: dict = field(default_factory=dict)
-    node_count: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -890,15 +880,11 @@ class RegionShard:
 
     # -- protocol steps -------------------------------------------------
     def begin(self, _payload=None) -> _Exports:
-        """Initialize with the congestion-free bound (or the slice's
-        warm-start seed when one is present); export readies."""
+        """Initialize with the congestion-free bound; export readies."""
         return self._timed("begin", self._begin_impl, _payload)
 
     def _begin_impl(self, _payload=None) -> _Exports:
         slc = self.slc
-        if slc.warm_init is not None:
-            self.ready = np.array(slc.warm_init, dtype=np.float64)
-            return self._export_ready()
         ready = np.zeros((slc.rows.size, slc.width))
         if slc.rows.size:
             ready[:, 0] = slc.first_ready
@@ -1564,8 +1550,6 @@ class RegionShard:
 
         busy: dict = {}
         core_free: dict = {}
-        node_wait: dict = {}
-        node_count: dict = {}
         for v, idx in self.node_idx.items():
             cache = self._node_cache.get(v)
             if cache is None:  # node never had an invocation
@@ -1584,9 +1568,6 @@ class RegionShard:
             core_free[v] = _core_free_final(
                 cache.st_s, cache.w_s, slc.cores
             )
-            if cache.r_s.size:
-                node_wait[v] = float(np.sum(cache.st_s - cache.r_s))
-                node_count[v] = int(cache.r_s.size)
         pool_updates = {}
         for g, key in enumerate(slc.groups.tolist()):
             svc_g, node_g = divmod(key, int(slc.M))
@@ -1604,8 +1585,6 @@ class RegionShard:
             tied=any(self.tied.values()),
             n_local=int(self._re_local.size),
             n_boundary=int(self._re_foreign.size),
-            node_wait=node_wait,
-            node_count=node_count,
         )
 
     def flush_telemetry(self, _payload=None) -> None:
@@ -1674,11 +1653,6 @@ class ShardStats:
     shm_bytes: int = 0
     shm_segments: int = 0
     pool_reused: bool = False
-    # cross-slot warm start telemetry
-    warm_started: bool = False
-    warm_seeded_nodes: int = 0
-    warm_invalidated_nodes: int = 0
-    warm_declined: bool = False
 
 
 @dataclass
@@ -1772,17 +1746,14 @@ def run_sharded_rounds_pooled(
     pool: "object",
     regions: Sequence[int],
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    executor: str = "process",
-    finalize_cmd: str = "finalize",
 ) -> tuple[Optional[list[ShardCommit]], ShardStats]:
-    """Process driver: same schedule, shards live in pipe workers.
+    """Worker driver: same schedule, shards live in pipe workers.
 
     ``pool`` is a :class:`repro.utils.parallel.PipeWorkerPool` whose
-    worker ``i`` hosts the :class:`RegionShard` for ``regions[i]`` (or,
-    under the shm executor, a :class:`_ShmShardHost` wrapping it —
-    ``finalize_cmd`` selects the in-place commit variant there).
+    worker ``i`` hosts the :class:`_ShmShardHost` for ``regions[i]``;
+    the commit runs its in-place ``finalize_shm`` variant.
     """
-    stats = ShardStats(n_shards=len(regions), executor=executor)
+    stats = ShardStats(n_shards=len(regions), executor="shm")
     exports = dict(zip(regions, pool.call_all("begin", [None] * len(regions))))
     converged = False
     while stats.rounds < max_rounds:
@@ -1815,7 +1786,7 @@ def run_sharded_rounds_pooled(
     if not converged:
         _collect_worker_telemetry(pool, len(regions))
         return None, stats
-    commits = pool.call_all(finalize_cmd, [None] * len(regions))
+    commits = pool.call_all("finalize_shm", [None] * len(regions))
     _collect_worker_telemetry(pool, len(regions))
     if any(c.tied for c in commits):
         return None, stats
@@ -1866,22 +1837,13 @@ def commit_sharded(
 
 
 def slices_from_plan(
-    plan: ReplayPlan,
-    region_map: RegionMap,
-    warm_ready: Optional[np.ndarray] = None,
+    plan: ReplayPlan, region_map: RegionMap
 ) -> list[ShardSlice]:
-    """Carve every region's :class:`ShardSlice` out of a full plan,
-    optionally slicing a coordinator-computed warm-start ready matrix
-    into per-shard ``warm_init`` seeds."""
-    slices = [
+    """Carve every region's :class:`ShardSlice` out of a full plan."""
+    return [
         ShardSlice.from_plan(plan, region_map, r)
         for r in range(region_map.n_regions)
     ]
-    if warm_ready is not None:
-        slices = [
-            replace(s, warm_init=warm_ready[s.rows]) for s in slices
-        ]
-    return slices
 
 
 def build_shard_slices(
@@ -1927,26 +1889,18 @@ _SLICE_SCALARS = (
 #: process parallelism to pay for its exchanges (``executor="auto"``).
 DEFAULT_SHM_USERS_PER_SHARD = 25_000
 
-#: Environment override for the auto-selection threshold.
-SHM_THRESHOLD_ENV = "REPRO_SHM_USERS_PER_SHARD"
+#: Valid ``executor`` names of :func:`replay_slot_sharded`.
+SHARD_EXECUTORS = ("serial", "shm", "auto")
 
 
-def shm_users_per_shard() -> int:
-    """The ``executor="auto"`` users-per-shard threshold (env override)."""
-    raw = os.environ.get(SHM_THRESHOLD_ENV)
-    if raw is None:
-        return DEFAULT_SHM_USERS_PER_SHARD
-    try:
-        value = int(raw)
-    except ValueError:
+def check_shard_executor(executor: str) -> None:
+    """Raise ``ValueError`` unless ``executor`` is in
+    :data:`SHARD_EXECUTORS`."""
+    if executor not in SHARD_EXECUTORS:
         raise ValueError(
-            f"{SHM_THRESHOLD_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(
-            f"{SHM_THRESHOLD_ENV} must be >= 0, got {value}"
+            f"unknown shard executor {executor!r}; expected one of "
+            f"{', '.join(SHARD_EXECUTORS)}"
         )
-    return value
 
 
 def resolve_shard_executor(
@@ -1955,15 +1909,16 @@ def resolve_shard_executor(
     """Resolve ``executor="auto"`` to a concrete engine.
 
     ``auto`` picks ``"shm"`` only when it can plausibly pay: at least
-    two regions, at least :func:`shm_users_per_shard` requests per
-    region, more than one CPU, and a working ``multiprocessing.shared_
-    memory`` (``/dev/shm``).  Everything else resolves to ``"serial"``.
+    two regions, at least :data:`DEFAULT_SHM_USERS_PER_SHARD` requests
+    per region, more than one CPU, and a working ``multiprocessing.
+    shared_memory`` (``/dev/shm``).  Everything else resolves to
+    ``"serial"``.
     Explicit executor names pass through unchanged (validated by
     :func:`replay_slot_sharded`).
     """
     if executor != "auto":
         return executor
-    if n_regions < 2 or n_req < shm_users_per_shard() * n_regions:
+    if n_regions < 2 or n_req < DEFAULT_SHM_USERS_PER_SHARD * n_regions:
         return "serial"
     if (os.cpu_count() or 1) < 2:
         return "serial"
@@ -1984,8 +1939,6 @@ def shm_slot_nbytes(slices: Sequence[ShardSlice]) -> int:
     for slc in slices:
         for name in _SLICE_ARRAYS:
             total += _align64(getattr(slc, name).nbytes) + 64
-        if slc.warm_init is not None:
-            total += _align64(slc.warm_init.nbytes) + 64
         # three float64 output columns (finish / queueing / cold)
         total += 3 * (_align64(int(slc.rows.size) * 8) + 64)
     return total
@@ -2056,8 +2009,6 @@ def _shard_worker_factory(meta: dict) -> _ShmShardHost:
         name: arena.view(ref) for name, ref in meta["refs"].items()
     }
     kwargs.update(meta["scalars"])
-    if meta["warm"] is not None:
-        kwargs["warm_init"] = arena.view(meta["warm"])
     slc = ShardSlice(**kwargs)
     out_views = tuple(arena.view(ref) for ref in meta["out"])
     return _ShmShardHost(RegionShard(slc), out_views)
@@ -2145,9 +2096,6 @@ def _shm_metas(arena, slices: Sequence[ShardSlice]) -> tuple[list, list]:
         refs = {
             name: arena.put(getattr(slc, name)) for name in _SLICE_ARRAYS
         }
-        warm_ref = (
-            arena.put(slc.warm_init) if slc.warm_init is not None else None
-        )
         out_refs = []
         out_views = []
         for _ in range(3):
@@ -2162,7 +2110,6 @@ def _shm_metas(arena, slices: Sequence[ShardSlice]) -> tuple[list, list]:
                 "scalars": {
                     name: getattr(slc, name) for name in _SLICE_SCALARS
                 },
-                "warm": warm_ref,
                 "out": tuple(out_refs),
             }
         )
@@ -2202,8 +2149,6 @@ def run_sharded_rounds_shm(
         pool,
         [s.region for s in slices],
         max_rounds=max_rounds,
-        executor="shm",
-        finalize_cmd="finalize_shm",
     )
     stats.shm_bytes = arena.used
     stats.shm_segments = context.segments_created
@@ -2220,30 +2165,6 @@ def run_sharded_rounds_shm(
     return commits, stats
 
 
-def _run_shard_attempt(
-    slices: list[ShardSlice],
-    executor: str,
-    max_rounds: int,
-    shard_context: Optional[ShmReplayContext],
-    worker_pool,
-) -> tuple[Optional[list[ShardCommit]], ShardStats]:
-    """One fixpoint attempt (warm or cold) on the chosen engine."""
-    if executor == "shm":
-        assert shard_context is not None
-        return run_sharded_rounds_shm(
-            shard_context, slices, max_rounds=max_rounds
-        )
-    if executor == "process":
-        worker_pool.load_all(RegionShard, slices)
-        return run_sharded_rounds_pooled(
-            worker_pool,
-            [s.region for s in slices],
-            max_rounds=max_rounds,
-        )
-    shards = [RegionShard(s) for s in slices]
-    return run_sharded_rounds(shards, max_rounds=max_rounds)
-
-
 def replay_slot_sharded(
     instance: ProblemInstance,
     placement: Placement,
@@ -2256,18 +2177,16 @@ def replay_slot_sharded(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     executor: str = "serial",
     shard_context: Optional[ShmReplayContext] = None,
-    warm_start: Optional[WarmStartCache] = None,
 ) -> Optional[ShardedReplayResult]:
     """Region-sharded replay of one slot; ``None`` declines.
 
     Bit-identical to :func:`repro.runtime.replay.replay_slot` on the
     same inputs — including the per-round iterates, the round count and
     every decline decision — with per-region state isolated into
-    :class:`RegionShard` objects.  ``executor`` selects:
+    :class:`RegionShard` objects.  ``executor`` is one of
+    :data:`SHARD_EXECUTORS`:
 
     * ``"serial"`` — in-process shard objects (correct everywhere);
-    * ``"process"`` — one persistent pipe worker per region, slices
-      pickled to the workers once per slot;
     * ``"shm"`` — persistent workers over a shared-memory arena
       (:class:`ShmReplayContext`): columnar state is published in the
       arena, only refs and exchange deltas cross the pipes, and per-row
@@ -2276,21 +2195,13 @@ def replay_slot_sharded(
       context is built (and torn down) per call otherwise.
     * ``"auto"`` — :func:`resolve_shard_executor` picks serial or shm
       from the slot's size and the host's capabilities.
-
-    ``warm_start`` enables the cross-slot warm start exactly as in
-    :func:`repro.runtime.replay.replay_slot`: the coordinator seeds
-    every shard's initial ready matrix from the cache's per-node
-    congestion estimates, and a seeded attempt that fails to converge
-    (or lands on a tie) is retried from the cold seed, so declines and
-    committed bits never depend on the cache.
     """
     if region_map.n_nodes != len(nodes):
         raise ValueError(
             f"region map covers {region_map.n_nodes} nodes, cluster has "
             f"{len(nodes)}"
         )
-    if executor not in ("serial", "process", "shm", "auto"):
-        raise ValueError(f"unknown shard executor: {executor!r}")
+    check_shard_executor(executor)
     req = np.asarray(req, dtype=np.int64)
     at = np.asarray(at, dtype=np.float64)
     executor = resolve_shard_executor(
@@ -2309,77 +2220,28 @@ def replay_slot_sharded(
     if plan is None:
         return None
     plan._homes = instance.homes[plan.req]  # consumed by ShardSlice.from_plan
+    slices = slices_from_plan(plan, region_map)
+    # The slices copied everything the rounds need; dropping the plan's
+    # own arrays (~25% of the slot's working set at 1M users) before the
+    # rounds keeps the fixpoint's resident set — and its wall time — at
+    # the flat engine's level.
+    plan = None
 
-    warm_ready = (
-        warm_start.initial_ready(plan) if warm_start is not None else None
-    )
-    warm_meta = (
-        (warm_start.last_seeded_nodes, warm_start.last_invalidated_nodes)
-        if warm_start is not None
-        else (0, 0)
-    )
-    seeds = [warm_ready, None] if warm_ready is not None else [None]
-
-    transient_ctx = None
-    worker_pool = None
-    try:
-        if executor == "shm":
-            if shard_context is None:
-                transient_ctx = ShmReplayContext()
-                shard_context = transient_ctx
-        elif executor == "process":
-            from repro.utils.parallel import ShardWorkerPool
-
-            worker_pool = ShardWorkerPool(region_map.n_regions)
-            if current_tracer().enabled:
-                worker_pool.set_tracing(
-                    [f"shard{r}" for r in range(region_map.n_regions)]
-                )
-
-        commits = None
-        stats = None
-        used_seed = None
-        warm_declined = False
-        for seed in seeds:
-            slices = slices_from_plan(plan, region_map, warm_ready=seed)
-            if warm_start is None:
-                # The slices copied everything the rounds need; the
-                # plan's own arrays (~25% of the slot's working set at
-                # 1M users) are only needed again for the warm-start
-                # cache update or a cold retry, neither of which can
-                # happen here.  Dropping them before the rounds keeps
-                # the fixpoint's resident set — and its wall time — at
-                # the flat engine's level.
-                plan = None
-            commits, stats = _run_shard_attempt(
-                slices, executor, max_rounds, shard_context, worker_pool
+    if executor == "shm":
+        if shard_context is not None:
+            commits, stats = run_sharded_rounds_shm(
+                shard_context, slices, max_rounds=max_rounds
             )
-            if commits is not None:
-                used_seed = seed
-                break
-            if seed is not None and warm_start is not None:
-                warm_start.note_declined()
-                warm_declined = True
-    finally:
-        if worker_pool is not None:
-            worker_pool.close()
-        if transient_ctx is not None:
-            transient_ctx.close()
-
+        else:
+            with ShmReplayContext() as transient_ctx:
+                commits, stats = run_sharded_rounds_shm(
+                    transient_ctx, slices, max_rounds=max_rounds
+                )
+    else:
+        shards = [RegionShard(s) for s in slices]
+        commits, stats = run_sharded_rounds(shards, max_rounds=max_rounds)
     if commits is None:
         return None
-    stats.warm_started = used_seed is not None
-    stats.warm_declined = warm_declined
-    if used_seed is not None:
-        stats.warm_seeded_nodes = warm_meta[0]
-        stats.warm_invalidated_nodes = warm_meta[1]
-    if warm_start is not None:
-        wait_sum = np.zeros(plan.n_nodes)
-        for c in commits:
-            for v, w in c.node_wait.items():
-                wait_sum[v] = w
-        warm_start.update(plan, wait_sum)
-        warm_start.note_rounds(stats.rounds, used_seed is not None)
     cores = slices[0].cores
     return commit_sharded(commits, stats, pool, nodes, req, at, cores)
 
@@ -2396,7 +2258,6 @@ def replay_slot_sharded_async(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     executor: str = "serial",
     shard_context: Optional[ShmReplayContext] = None,
-    warm_start: Optional[WarmStartCache] = None,
     tracer=None,
 ):
     """Dispatch :func:`replay_slot_sharded` on a background thread.
@@ -2427,7 +2288,6 @@ def replay_slot_sharded_async(
             max_rounds=max_rounds,
             executor=executor,
             shard_context=shard_context,
-            warm_start=warm_start,
         )
 
     return AsyncSlotReplay(_run, tracer=tracer)

@@ -50,6 +50,7 @@ from repro.runtime.pipeline import (
 )
 from repro.runtime.resilience import FaultInjector, ResiliencePolicy, shed_indices
 from repro.runtime.serverless import InstancePool, ServerlessConfig
+from repro.runtime.shard import check_shard_executor
 from repro.utils.rng import SeedLike, as_generator, spawn
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_positive
@@ -245,7 +246,6 @@ class OnlineSimulator:
         fast_replay: bool = True,
         shards: int = 1,
         shard_executor: str = "serial",
-        warm_start: bool = False,
         exact_latencies: bool = False,
         autoscaler=None,
         pipeline: str = "auto",
@@ -263,18 +263,14 @@ class OnlineSimulator:
         #: partitioned geographically by k-means over their positions.
         #: Results stay bit-identical to the flat replay; only the
         #: memory/scaling profile changes.  ``shard_executor`` picks
-        #: ``"serial"`` (in-process), ``"process"`` (pickled slices to
-        #: pipe workers), ``"shm"`` (persistent workers over a
-        #: shared-memory arena — the simulator owns one
+        #: ``"serial"`` (in-process), ``"shm"`` (persistent workers over
+        #: a shared-memory arena — the simulator owns one
         #: :class:`repro.runtime.shard.ShmReplayContext` reused across
         #: every slot), or ``"auto"`` (serial below a users-per-shard
         #: threshold, shm above; see
         #: :func:`repro.runtime.shard.resolve_shard_executor`).
         self.shards = int(shards)
-        if shard_executor not in ("serial", "process", "shm", "auto"):
-            raise ValueError(
-                f"unknown shard executor: {shard_executor!r}"
-            )
+        check_shard_executor(shard_executor)
         self.shard_executor = shard_executor
         self.region_map = None
         if self.shards > 1:
@@ -287,19 +283,6 @@ class OnlineSimulator:
         #: use, freed by :meth:`close` (or on garbage collection via
         #: the pool/arena finalizers).
         self.shard_context = None
-        #: With ``warm_start=True`` the replay engines seed each slot's
-        #: fixpoint from the previous slot's converged per-node
-        #: congestion (:class:`repro.runtime.replay.WarmStartCache`).
-        #: Committed results stay bit-identical — the cache only
-        #: changes round counts, measures its own benefit, and
-        #: suppresses itself on workloads where seeding does not pay.
-        self.warm_start_cache = None
-        if warm_start:
-            from repro.runtime.replay import WarmStartCache
-
-            self.warm_start_cache = WarmStartCache(
-                len(network.servers)
-            )
         #: Use the vectorized fault-free replay
         #: (:mod:`repro.runtime.replay`) for slots without faults or a
         #: resilience policy; results are bit-identical to the event
@@ -324,8 +307,8 @@ class OnlineSimulator:
         #: ``"on"`` dispatches each slot's replay to a background thread
         #: and runs the next slot's window generation + solve while it
         #: is in flight; ``"off"`` keeps the fully serial loop;
-        #: ``"auto"`` (default) pipelines only when a persistent
-        #: out-of-process shard executor would carry the replay —
+        #: ``"auto"`` (default) pipelines only when the shm shard
+        #: executor would carry the replay —
         #: overlapping with an in-process replay just adds GIL
         #: contention.  Either way the trace is bit-identical to the
         #: serial loop (docs/RUNTIME.md, "Pipelined slot execution").
@@ -365,10 +348,9 @@ class OnlineSimulator:
         """Capture one per-slot runtime snapshot into ``flight``.
 
         Fields beyond the recorder's automatic RSS: request counts,
-        replay/fixpoint rounds, shm arena utilization + worker-pool
-        state (when the shm executor is live), and warm-start cache
-        telemetry (when enabled).  Values are numeric or ``None`` per
-        the ``snapshot`` record schema.
+        replay/fixpoint rounds, and shm arena utilization + worker-pool
+        state (when the shm executor is live).  Values are numeric or
+        ``None`` per the ``snapshot`` record schema.
         """
         fields: dict = {
             "requests": float(record.n_requests),
@@ -408,14 +390,6 @@ class OnlineSimulator:
             fields["autoscale_scale_downs"] = float(asc.stats.scale_downs)
             fields["autoscale_prewarms"] = float(asc.stats.prewarms)
             fields["autoscale_evictions"] = float(asc.stats.evictions)
-        cache = self.warm_start_cache
-        if cache is not None:
-            slots_seen = slot + 1
-            fields["warm_slots"] = float(cache.warm_slots)
-            fields["warm_hit_rate"] = cache.warm_slots / slots_seen
-            fields["warm_declined"] = float(cache.declined)
-            fields["warm_ema_rounds"] = float(cache.ema_rounds)
-            fields["warm_suppressed"] = float(cache.suppressed)
         flight.snapshot(slot, **fields)
 
     def run(
@@ -675,7 +649,6 @@ class OnlineSimulator:
             region_map=self.region_map,
             shard_executor=self.shard_executor,
             shard_context=self.shard_context,
-            warm_start=self.warm_start_cache,
         )
         # arrivals spread uniformly across the slot
         state.offsets = self._arrival_rng.uniform(
@@ -913,28 +886,6 @@ class OnlineSimulator:
                             "runtime.shard.shm_pool_reuses",
                             int(shard_stats.pool_reused),
                         )
-                    if shard_stats.warm_started:
-                        tracer.inc(
-                            "runtime.shard.warm_start_slots"
-                        )
-                        tracer.inc(
-                            "runtime.shard.warm_start_seeded_nodes",
-                            shard_stats.warm_seeded_nodes,
-                        )
-                        tracer.inc(
-                            "runtime.shard."
-                            "warm_start_invalidated_nodes",
-                            shard_stats.warm_invalidated_nodes,
-                        )
-                    if shard_stats.warm_declined:
-                        tracer.inc(
-                            "runtime.shard.warm_start_declined"
-                        )
-                elif (
-                    self.warm_start_cache is not None
-                    and self.warm_start_cache.last_used
-                ):
-                    tracer.inc("runtime.warm_start_slots")
             elif not ctx.resilient:
                 tracer.inc("runtime.replay_fallback_slots")
             if ctx.resilient:

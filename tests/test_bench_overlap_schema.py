@@ -36,7 +36,7 @@ def test_schema_header(doc):
     assert cfg["shards"] >= 2
     assert cfg["slots"] >= 2
     assert cfg["repeats"] >= 1
-    assert cfg["executor"] in ("serial", "process", "shm")
+    assert cfg["executor"] in ("serial", "shm")
 
 
 def test_host_block(doc):

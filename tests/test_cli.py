@@ -60,6 +60,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "--pipeline", "maybe"])
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--executor", "process"], "invalid choice"),
+            (["--warm-start"], "unrecognized arguments"),
+        ],
+    )
+    def test_trace_rejects_removed_options(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_solve(self, capsys):

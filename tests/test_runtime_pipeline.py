@@ -2,10 +2,9 @@
 
 The pipelined executor's contract is *bit-identical* equality with the
 serial slot loop — same per-slot records, same recorder state, same
-warm-start cache, same counters (minus the ``runtime.pipeline.*``
-overlap meters, which only exist in pipelined mode) — across every
-combination of executor × faults × autoscaler × warm start.  Every
-comparison here is exact, never approx.
+counters (minus the ``runtime.pipeline.*`` overlap meters, which only
+exist in pipelined mode) — across every combination of executor ×
+faults × autoscaler.  Every comparison here is exact, never approx.
 """
 
 import hashlib
@@ -46,7 +45,6 @@ def _run_trace(
     slots=4,
     shards=1,
     executor="serial",
-    warm=False,
     autoscale=False,
     faults=False,
     resilience=False,
@@ -65,7 +63,6 @@ def _run_trace(
         seed=seed,
         shards=shards,
         shard_executor=executor,
-        warm_start=warm,
         autoscaler=Autoscaler() if autoscale else None,
         pipeline=pipeline,
     )
@@ -101,14 +98,14 @@ def _run_trace(
     return result, tracer, sim
 
 
-def _trace_digest(result, tracer=None, cache=None) -> str:
+def _trace_digest(result, tracer=None) -> str:
     """SHA-256 over every deterministic field of a trace outcome.
 
     Covers the per-slot records (all decision/outcome fields — the
     wall-clock ``solver_runtime``/``t_*`` fields are excluded), the
-    latency recorder's full state, the warm-start cache (when present),
-    and the counter totals minus ``runtime.pipeline.*`` (the overlap
-    meters exist only in pipelined mode by design).
+    latency recorder's full state, and the counter totals minus
+    ``runtime.pipeline.*`` (the overlap meters exist only in pipelined
+    mode by design).
     """
     h = hashlib.sha256()
     for r in result.slots:
@@ -124,11 +121,6 @@ def _trace_digest(result, tracer=None, cache=None) -> str:
         )
     h.update(result.recorder.slot_means().tobytes())
     h.update(repr(sorted(result.recorder.overall().items())).encode())
-    if cache is not None:
-        h.update(cache._wait.tobytes())
-        h.update(cache._count.tobytes())
-        h.update(cache._sig.tobytes())
-        h.update(repr((cache.ema_rounds, cache.warm_slots)).encode())
     if tracer is not None:
         counters = {
             k: v
@@ -141,12 +133,9 @@ def _trace_digest(result, tracer=None, cache=None) -> str:
 
 def _pair_digests(**kwargs) -> tuple:
     """The same trace serial and pipelined; returns both digests."""
-    off_res, off_tr, off_sim = _run_trace("off", **kwargs)
-    on_res, on_tr, on_sim = _run_trace("on", **kwargs)
-    return (
-        _trace_digest(off_res, off_tr, off_sim.warm_start_cache),
-        _trace_digest(on_res, on_tr, on_sim.warm_start_cache),
-    )
+    off_res, off_tr, _ = _run_trace("off", **kwargs)
+    on_res, on_tr, _ = _run_trace("on", **kwargs)
+    return _trace_digest(off_res, off_tr), _trace_digest(on_res, on_tr)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +206,20 @@ class TestResolvePipeline:
                 WorkloadSpec(n_users=4), pipeline="always",
             )
 
+    def test_simulator_validates_shard_executor(self):
+        net = stadium_topology(4, seed=0)
+        with pytest.raises(ValueError, match="serial, shm, auto"):
+            OnlineSimulator(
+                net, eshop_application(), ProblemConfig(0.5, 60.0),
+                WorkloadSpec(n_users=4), shards=2, shard_executor="process",
+            )
+
     def test_auto_requires_multiple_regions(self):
-        assert resolve_pipeline("auto", 1, "process", 10**6) is False
+        assert resolve_pipeline("auto", 1, "shm", 10**6) is False
 
     def test_auto_follows_persistent_executor(self):
-        # explicit worker-pool executors pipeline; in-process does not
-        assert resolve_pipeline("auto", 2, "process", 100) is True
+        # the explicit worker-pool executor pipelines; in-process does not
+        assert resolve_pipeline("auto", 2, "shm", 100) is True
         assert resolve_pipeline("auto", 2, "serial", 100) is False
 
     def test_modes_constant(self):
@@ -246,10 +243,6 @@ class TestPipelinedBitIdentity:
         off, on = _pair_digests(shards=2, executor="shm", traced=True)
         assert off == on
 
-    def test_sharded_process(self):
-        off, on = _pair_digests(shards=2, executor="process", traced=True)
-        assert off == on
-
     def test_with_faults_and_resilience(self):
         off, on = _pair_digests(
             shards=2, faults=True, resilience=True, traced=True
@@ -260,17 +253,13 @@ class TestPipelinedBitIdentity:
         off, on = _pair_digests(shards=2, autoscale=True, traced=True)
         assert off == on
 
-    def test_with_warm_start(self):
-        off, on = _pair_digests(shards=2, warm=True, traced=True)
-        assert off == on
-
     def test_with_outages(self):
         off, on = _pair_digests(shards=2, fail_prob=0.4, traced=True)
         assert off == on
 
     def test_everything_at_once(self):
         off, on = _pair_digests(
-            shards=2, warm=True, autoscale=True, faults=True,
+            shards=2, autoscale=True, faults=True,
             resilience=True, fail_prob=0.3, traced=True,
         )
         assert off == on
@@ -291,16 +280,15 @@ class TestPipelinedBitIdentity:
         shards=st.integers(min_value=1, max_value=3),
         faults=st.booleans(),
         autoscale=st.booleans(),
-        warm=st.booleans(),
     )
     def test_property_pipelined_equals_serial(
-        self, seed, shards, faults, autoscale, warm
+        self, seed, shards, faults, autoscale
     ):
-        """Property: for any seed × shards × faults × autoscaler × warm
+        """Property: for any seed × shards × faults × autoscaler
         combination, pipelined and serial digests are equal."""
         off, on = _pair_digests(
             seed=seed, n_users=12, n_servers=6, slots=3, shards=shards,
-            faults=faults, autoscale=autoscale, warm=warm, traced=True,
+            faults=faults, autoscale=autoscale, traced=True,
         )
         assert off == on
 
@@ -411,7 +399,7 @@ class _ExplodingSolver:
 
 
 class TestInFlightTeardown:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_prefix_exception_joins_replay(self, executor):
         """An exception in the speculative solve while the previous
         slot's replay is in flight must join the replay thread, leak no

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.scenarios import ScenarioParams, build_scenario
 from repro.model import Placement, optimal_routing
 from repro.runtime import ServerlessConfig, SimulatedCluster
-from repro.runtime.replay import WarmStartCache, replay_slot
+from repro.runtime.replay import replay_slot
 from repro.runtime.serverless import InstancePool
 from repro.runtime.shard import (
-    SHM_THRESHOLD_ENV,
+    DEFAULT_SHM_USERS_PER_SHARD,
+    SHARD_EXECUTORS,
     RegionMap,
     ShmReplayContext,
     _core_free_final,
@@ -25,7 +26,6 @@ from repro.runtime.shard import (
     partition_cluster,
     replay_slot_sharded,
     resolve_shard_executor,
-    shm_users_per_shard,
 )
 from repro.utils.parallel import shared_memory_available
 
@@ -242,19 +242,6 @@ class TestShardedEquivalence:
                 RegionMap.contiguous(inst.n_servers + 1, 2),
             )
 
-    def test_process_executor_identical(self):
-        """The pipe-worker executor commits the same bits as serial."""
-        inst, placement, routing = _solved(9, 10)
-        at = np.random.default_rng(9).uniform(0.0, 12.0, inst.n_requests)
-        rmap = RegionMap.contiguous(inst.n_servers, 3)
-        ref, shr, a, b = _run_pair(
-            inst, placement, routing, at,
-            rmap, ServerlessConfig(cold_start=0.5, keep_alive=5.0),
-            executor="process",
-        )
-        _assert_identical(ref, shr, a, b)
-        assert shr.stats.executor == "process"
-
     @needs_shm
     def test_shm_executor_identical(self):
         """The shared-memory executor commits the same bits as flat."""
@@ -283,6 +270,20 @@ class TestShardedEquivalence:
                 RegionMap.contiguous(inst.n_servers, 2),
                 executor="threads",
             )
+
+    def test_unknown_executor_error_names_valid_values(self):
+        inst, placement, routing = _solved(2, 4)
+        pool = InstancePool(placement, ServerlessConfig())
+        cluster = SimulatedCluster(inst, placement, routing, pool=pool)
+        with pytest.raises(ValueError) as err:
+            replay_slot_sharded(
+                inst, placement, routing, pool, cluster.nodes,
+                np.arange(inst.n_requests), np.zeros(inst.n_requests),
+                RegionMap.contiguous(inst.n_servers, 2),
+                executor="process",
+            )
+        for name in SHARD_EXECUTORS:
+            assert name in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +367,7 @@ class TestShmContext:
 # ---------------------------------------------------------------------------
 class TestAutoExecutor:
     def test_explicit_names_pass_through(self):
-        for name in ("serial", "process", "shm"):
+        for name in ("serial", "shm"):
             assert resolve_shard_executor(name, 8, 10**9) == name
 
     def test_small_workload_stays_serial(self):
@@ -382,7 +383,7 @@ class TestAutoExecutor:
         monkeypatch.setattr(
             "repro.utils.parallel.shared_memory_available", lambda: True
         )
-        n = shm_users_per_shard()
+        n = DEFAULT_SHM_USERS_PER_SHARD
         assert resolve_shard_executor("auto", 4, 4 * n) == "shm"
         assert resolve_shard_executor("auto", 4, 4 * n - 1) == "serial"
 
@@ -401,25 +402,14 @@ class TestAutoExecutor:
         )
         assert resolve_shard_executor("auto", 4, 10**9) == "serial"
 
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv(SHM_THRESHOLD_ENV, "10")
-        assert shm_users_per_shard() == 10
-
-    def test_threshold_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(SHM_THRESHOLD_ENV, "lots")
-        with pytest.raises(ValueError, match="integer"):
-            shm_users_per_shard()
-        monkeypatch.setenv(SHM_THRESHOLD_ENV, "-5")
-        with pytest.raises(ValueError, match=">= 0"):
-            shm_users_per_shard()
-
 
 # ---------------------------------------------------------------------------
-# Cross-slot warm start
+# Multi-slot carried state
 # ---------------------------------------------------------------------------
-def _multi_slot_digest(executor, warm, n_slots=6, seed=21, n_users=14):
-    """Replay a slot sequence; digest every committed column and the
-    carried pool/node state, and collect per-slot round counts."""
+def _multi_slot_digest(executor, n_slots=6, seed=21, n_users=14):
+    """Replay a slot sequence over one pool and node set; digest every
+    committed column and the carried pool/node state, and collect
+    per-slot round counts."""
     import hashlib
 
     inst, placement, routing = _solved(seed, n_users)
@@ -427,7 +417,6 @@ def _multi_slot_digest(executor, warm, n_slots=6, seed=21, n_users=14):
     pool = InstancePool(placement, serverless)
     cluster = SimulatedCluster(inst, placement, routing, pool=pool)
     rmap = RegionMap.contiguous(inst.n_servers, 2)
-    cache = WarmStartCache(inst.n_servers) if warm else None
     gen = np.random.default_rng(seed)
     req = np.arange(inst.n_requests)
     digest = hashlib.sha256()
@@ -435,116 +424,45 @@ def _multi_slot_digest(executor, warm, n_slots=6, seed=21, n_users=14):
     for slot in range(n_slots):
         at = gen.uniform(slot * 12.0, slot * 12.0 + 10.0, inst.n_requests)
         if executor == "flat":
-            out = replay_slot(
+            res = replay_slot(
                 inst, placement, routing, pool, cluster.nodes, req, at,
-                warm_start=cache,
             )
-            assert out is not None
-            rounds.append(out.rounds)
-            for col in (out.finish, out.queueing, out.cold_start):
-                digest.update(col.tobytes())
+            assert res is not None
+            rounds.append(res.rounds)
         else:
             shr = replay_slot_sharded(
                 inst, placement, routing, pool, cluster.nodes, req, at,
-                rmap, executor=executor, warm_start=cache,
+                rmap, executor=executor,
             )
             assert shr is not None
             rounds.append(shr.stats.rounds)
             res = shr.result
-            for col in (res.finish, res.queueing, res.cold_start):
-                digest.update(col.tobytes())
+        for col in (res.finish, res.queueing, res.cold_start):
+            digest.update(col.tobytes())
     digest.update(repr(sorted(pool._last_used.items())).encode())
     for nd in cluster.nodes:
         digest.update(repr(list(nd.core_free)).encode())
-    return digest.hexdigest(), rounds, cache
+    return digest.hexdigest(), rounds
 
 
-class TestWarmStart:
-    def test_warm_start_bit_identical_flat(self):
-        cold, cold_rounds, _ = _multi_slot_digest("flat", warm=False)
-        warm, warm_rounds, cache = _multi_slot_digest("flat", warm=True)
-        assert warm == cold
-        assert cache is not None and cache.primed
+class TestMultiSlotCarriedState:
+    """Each slot starts from the pool warmth and node core state the
+    previous slot committed, so a slot sequence checks that the sharded
+    engines carry that state exactly as the flat engine does."""
 
-    def test_warm_start_bit_identical_sharded(self):
-        cold, _, _ = _multi_slot_digest("serial", warm=False)
-        warm, _, cache = _multi_slot_digest("serial", warm=True)
-        assert warm == cold
-        assert cache.primed
+    def test_flat_and_sharded_serial_agree(self):
+        flat, flat_rounds = _multi_slot_digest("flat")
+        shard, shard_rounds = _multi_slot_digest("serial")
+        assert shard == flat
+        assert shard_rounds == flat_rounds
+        assert len(flat_rounds) == 6 and min(flat_rounds) >= 1
 
     @needs_shm
-    def test_warm_start_bit_identical_shm(self):
-        cold, _, _ = _multi_slot_digest("serial", warm=False)
-        warm, _, cache = _multi_slot_digest("shm", warm=True)
-        assert warm == cold
-
-    def test_flat_and_sharded_warm_caches_agree(self):
-        """The sharded engine must feed the cache the same per-node
-        observations as the flat engine: identical wait sums, counts,
-        signatures, and gate state after the same slot sequence."""
-        _, flat_rounds, a = _multi_slot_digest("flat", warm=True)
-        _, shard_rounds, b = _multi_slot_digest("serial", warm=True)
-        assert flat_rounds == shard_rounds
-        assert np.array_equal(a._wait, b._wait)
-        assert np.array_equal(a._count, b._count)
-        assert np.array_equal(a._sig, b._sig)
-        assert a.ema_rounds == b.ema_rounds
-        assert a.warm_slots == b.warm_slots
-        assert a.strikes == b.strikes
-        assert a.suppressed == b.suppressed
-
-    def test_probe_slots_run_unseeded(self):
-        """Every probe_every-th slot must measure the cold baseline."""
-        cache = WarmStartCache(4, probe_every=3)
-        cache.primed = True
-        cache._wait[:] = 1.0
-        cache._count[:] = 10
-
-        class _FakePlan:
-            n_nodes = 4
-
-            def node_signature(self):
-                return np.full(4, 10, dtype=np.int64), np.zeros(4, np.uint64)
-
-            def warm_initial_ready(self, est):
-                return est
-
-        cache._sig[:] = 0
-        seen = []
-        for i in range(6):
-            out = cache.initial_ready(_FakePlan())
-            seen.append(out is not None)
-            # seeded slots beat the cold EMA so no strikes accrue
-            cache.note_rounds(5 if out is None else 3, seeded=out is not None)
-        # slots 0 and 3 are probes (cold); the rest seed
-        assert seen == [False, True, True, False, True, True]
-
-    def test_strikes_suppress_unhelpful_seeding(self):
-        """Seeded slots that never beat the cold EMA stop the seeding."""
-        cache = WarmStartCache(2, strike_limit=2, probe_every=4)
-        cache.primed = True
-        cache.ema_rounds = 10.0
-        # two seeded slots at the EMA (no improvement) => suppressed
-        cache.note_rounds(10, seeded=True)
-        cache._slot_i = 1  # stay off probe slots
-        cache.note_rounds(10, seeded=True)
-        assert cache.suppressed
-
-    def test_declined_warm_attempt_strikes(self):
-        cache = WarmStartCache(2, strike_limit=1)
-        cache.note_declined()
-        assert cache.suppressed
-        assert cache.declined == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmStartCache(0)
-        with pytest.raises(ValueError):
-            WarmStartCache(4, tolerance=-0.1)
-        with pytest.raises(ValueError):
-            WarmStartCache(4, strike_limit=0)
-        with pytest.raises(ValueError):
-            WarmStartCache(4, probe_every=1)
+    def test_flat_and_shm_agree(self):
+        flat, flat_rounds = _multi_slot_digest("flat")
+        shm, shm_rounds = _multi_slot_digest("shm")
+        assert shm == flat
+        assert shm_rounds == flat_rounds
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +586,6 @@ class TestTelemetryBitIdentity:
         # no ambient tracer -> the per-shard counter/phase state is never
         # even allocated, keeping the untraced hot path untouched
         assert all(RegionShard(s)._telemetry is None for s in slices)
-
-    def test_process_counters_bit_identical_to_serial(self):
-        ref, _ = self._traced_replay("serial")
-        proc, _ = self._traced_replay("process")
-        assert self._shard_counters(proc) == self._shard_counters(ref)
-        assert self._span_shape(proc) == self._span_shape(ref)
 
     @needs_shm
     def test_shm_counters_bit_identical_to_serial(self):
